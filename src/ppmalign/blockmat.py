@@ -2,17 +2,20 @@
 
 The lifted input of the alignment problem is an (nm, nm) symmetric matrix L
 of n x n blocks of size m x m.  Diagonal blocks are zero.  Off-diagonal
-blocks are circulant (every entry depends on the row-column residue only),
-so each stored block is just its first column, and block-vector products
-reduce to circular convolutions.
+blocks are circulant, and every block depends on its pair only through the
+observed residue: L_ij[a, b] = h((y_ij - a + b) mod m) for one length-m
+generator h shared by all pairs.  So L factors as (I_n kron G) P_y, where
+P_y gathers each neighbour's block cyclically shifted by its residue and
+G[a, k] = h(k - a) is a single m x m circulant.
 
-Storage is one first column per observed pair (i, j) with i > j; the
-mirrored block is the transpose, which for a circulant is the circulant of
-the index-reversed column.
+Storage is the edge list (i, j) with i > j, the residues y and h.  A product
+costs O(E m r) for the residue-sorted sparse gathers plus O(n m^2 r) for the
+circulant, and needs no per-pair arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 
 import numpy as np
@@ -22,9 +25,6 @@ from .exceptions import RegularizationRequiredError
 from .likelihood import NoiseDistribution, PairwiseObservations, entropy, kl
 
 FORMS = ("agreement", "loglik", "debiased-loglik")
-
-# below this block size the FFT overhead loses to a batched m^2 product
-_FFT_MIN_M = 10
 
 # expected_matrix materializes a dense (nm, nm) array; keep it desk-sized
 _DENSE_CAP = 4096
@@ -37,7 +37,7 @@ def _circ_index(m: int) -> np.ndarray:
 
 
 class CirculantBlockMatrix:
-    """Sparse symmetric matrix of circulant blocks, applied blockwise.
+    """Sparse symmetric matrix of circulant blocks sharing one generator.
 
     Parameters
     ----------
@@ -45,32 +45,50 @@ class CirculantBlockMatrix:
         Number of items and labels; the operator is (n m, n m).
     ii, jj : ndarray of int
         Endpoints of the stored pairs, elementwise ii > jj.
-    cols : ndarray, shape (n_edges, m)
-        First column of the block at (ii[e], jj[e]).
+    y : ndarray of int
+        Residue of each stored pair, in 0..m-1.
+    h : ndarray, shape (m,)
+        Generator: block (ii[e], jj[e]) has entries h((y[e] - a + b) mod m)
+        and its mirror (jj[e], ii[e]) is the transpose.
     debiased : bool
-        True when each block has had its grand mean subtracted.
+        True when h has had its mean subtracted, so every block sums to 0.
     """
 
-    def __init__(self, n, m, ii, jj, cols, debiased=False):
+    def __init__(self, n, m, ii, jj, y, h, debiased=False):
         ii = np.asarray(ii, dtype=np.int64)
         jj = np.asarray(jj, dtype=np.int64)
-        cols = np.asarray(cols, dtype=float)
-        if ii.shape != jj.shape or cols.shape != (ii.size, m):
-            raise ValueError("edge arrays and first columns must be aligned")
+        y = np.asarray(y, dtype=np.int64)
+        h = np.asarray(h, dtype=float)
+        if ii.shape != jj.shape or y.shape != ii.shape or ii.ndim != 1:
+            raise ValueError("edge arrays and residues must be aligned")
+        if h.shape != (m,):
+            raise ValueError(f"generator must have shape ({m},), got {h.shape}")
         if ii.size and not np.all(ii > jj):
             raise ValueError("blocks must be stored with i > j")
         if ii.size and (ii.max() >= n or jj.min() < 0):
             raise ValueError("block indices out of range")
+        if y.size and (y.min() < 0 or y.max() >= m):
+            raise ValueError("residues out of range")
         self.n = int(n)
         self.m = int(m)
         self.ii = ii
         self.jj = jj
-        self.cols = cols
+        self.y = y
+        self.h = h
         self.debiased = bool(debiased)
-        self._fc = None
-        self._blocks = None
-        self._acc_i = None
-        self._acc_j = None
+        # L_ij z_j = G roll(z_j, y_ij) and L_ji z_i = G^T roll(z_i, -y_ij), so
+        # adjacency s gathers, into rows 0..n-1 (stored orientation) and
+        # n..2n-1 (mirrored), every neighbour whose block needs shift s
+        self._g = h[_circ_index(m).T]
+        rows = np.concatenate([ii, jj + self.n])
+        src = np.concatenate([jj, ii])
+        shift = np.concatenate([y, (-y) % m])
+        self._adj = []
+        for s in range(self.m):
+            sel = shift == s
+            self._adj.append(sp.csr_matrix(
+                (np.ones(np.count_nonzero(sel)), (rows[sel], src[sel])),
+                shape=(2 * self.n, self.n)))
 
     @property
     def shape(self):
@@ -80,15 +98,10 @@ class CirculantBlockMatrix:
     def n_edges(self) -> int:
         return self.ii.size
 
-    def _accumulators(self):
-        # (n, E) incidence maps; a CSR product sums edge contributions per row
-        if self._acc_i is None:
-            e = self.n_edges
-            ones = np.ones(e)
-            ar = np.arange(e)
-            self._acc_i = sp.csr_matrix((ones, (self.ii, ar)), shape=(self.n, e))
-            self._acc_j = sp.csr_matrix((ones, (self.jj, ar)), shape=(self.n, e))
-        return self._acc_i, self._acc_j
+    @functools.cached_property
+    def cols(self) -> np.ndarray:
+        """First column of every stored block, shape (n_edges, m)."""
+        return self.h[(self.y[:, None] - np.arange(self.m)[None, :]) % self.m]
 
     def _apply(self, zb):
         """Product with blocks stacked in zb of shape (n, m) or (n, m, r)."""
@@ -96,30 +109,11 @@ class CirculantBlockMatrix:
         if single:
             zb = zb[:, :, None]
         n, m, r = zb.shape
-        if self.n_edges == 0:
-            out = np.zeros_like(zb)
-            return out[:, :, 0] if single else out
-        acc_i, acc_j = self._accumulators()
-        if m < _FFT_MIN_M:
-            if self._blocks is None:
-                self._blocks = self.cols[:, _circ_index(m)]
-            contrib_i = self._blocks @ zb[self.jj]
-            contrib_j = self._blocks.transpose(0, 2, 1) @ zb[self.ii]
-            e = self.n_edges
-            w = acc_i @ contrib_i.reshape(e, m * r) + acc_j @ contrib_j.reshape(e, m * r)
-            out = w.reshape(n, m, r)
-        else:
-            if self._fc is None:
-                self._fc = np.fft.rfft(self.cols, axis=1)
-            fz = np.fft.rfft(zb, axis=1)
-            k = fz.shape[1]
-            # block (i,j) acts on z_j via its spectrum; the transpose acts
-            # via the conjugate spectrum (real first columns)
-            p_i = self._fc[:, :, None] * fz[self.jj]
-            p_j = np.conj(self._fc)[:, :, None] * fz[self.ii]
-            e = self.n_edges
-            fw = (acc_i @ p_i.reshape(e, k * r)) + (acc_j @ p_j.reshape(e, k * r))
-            out = np.fft.irfft(fw.reshape(n, k, r), m, axis=1)
+        acc = np.zeros((2 * n, m * r))
+        for s, adj in enumerate(self._adj):
+            acc += adj @ np.roll(zb, s, axis=1).reshape(n, m * r)
+        acc = acc.reshape(2, n, m, r)
+        out = self._g @ acc[0] + self._g.T @ acc[1]
         return out[:, :, 0] if single else out
 
     def matvec(self, z):
@@ -146,10 +140,8 @@ class CirculantBlockMatrix:
         hits = np.flatnonzero((self.ii == hi) & (self.jj == lo))
         if hits.size == 0:
             raise KeyError(f"pair ({a}, {b}) not present")
-        col = self.cols[hits[0]]
-        if a < b:
-            col = col[(-np.arange(self.m)) % self.m]
-        return col[_circ_index(self.m)]
+        blk = self.h[(self.y[hits[0]] - _circ_index(self.m)) % self.m]
+        return blk if a > b else blk.T
 
     def dump_block(self, a: int, b: int) -> str:
         """CSV dump of one block with header alpha,beta,value (debug aid)."""
@@ -170,34 +162,33 @@ def build(obs: PairwiseObservations, d: NoiseDistribution | None = None,
     -----
     agreement
         Entry 1 exactly where the residue difference matches the observed
-        y, else 0.  Parameter-free; the matched-filter form for the
-        random-corruption model.
+        y, else 0 (generator h = delta_0).  Parameter-free; the
+        matched-filter form for the random-corruption model.
     loglik
-        Entry log P0(y - a + b mod m); requires a strictly positive pmf.
+        Entry log P0(y - a + b mod m) (h = log P0); requires a strictly
+        positive pmf.
     debiased-loglik
-        Same with the per-block grand mean removed, which kills the common
-        offset direction and shrinks the top eigenvalue bias.
+        Same with the mean of log P0 removed from h, which is the per-block
+        grand mean; it kills the common offset direction and shrinks the
+        top eigenvalue bias.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
     m = obs.m
-    e = obs.n_edges
     if form == "agreement":
-        cols = np.zeros((e, m))
-        cols[np.arange(e), obs.y] = 1.0
-        return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, cols)
+        h = np.zeros(m)
+        h[0] = 1.0
+        return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, obs.y, h)
     if d is None:
         raise ValueError("likelihood forms need a noise distribution")
     if d.m != m:
         raise ValueError("distribution support and observation modulus differ")
     if np.any(d.p0 == 0):
         raise RegularizationRequiredError(int(np.argmin(d.p0)))
-    logp = np.log(d.p0)
-    idx = (obs.y[:, None] - np.arange(m)[None, :]) % m
-    cols = logp[idx]
+    h = np.log(d.p0)
     if form == "debiased-loglik":
-        cols = cols - cols.mean(axis=1, keepdims=True)
-    return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, cols,
+        h = h - h.mean()
+    return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, obs.y, h,
                                 debiased=(form == "debiased-loglik"))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .blockmat import FORMS
 from .exceptions import ConfigError
 from .harness import (
     build_config,
@@ -47,7 +48,7 @@ def _add_common_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
     p.add_argument("--sigma", help="noise width(s) for modified_gaussian")
     p.add_argument("--p0", help="comma pmf for model custom_p0")
     p.add_argument("--mu", help="scaling policy: inf, c/sigma2, c/sigmam, or a number")
-    p.add_argument("--form", choices=("agreement", "loglik", "debiased-loglik"))
+    p.add_argument("--form", choices=FORMS)
     p.add_argument("--iters", type=int, help="iteration budget (default: ceil(3 ln n))")
     if sweep:
         p.add_argument("--trials", type=int, help="trials per grid cell")

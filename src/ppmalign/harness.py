@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .blockmat import build
+from .blockmat import FORMS, build
 from .exceptions import ConfigError
 from .likelihood import (
     NoiseDistribution,
@@ -35,7 +35,6 @@ from .solver import ScalingPolicy, SolveReport, default_iterations, solve
 from .spectral import initial_guess, orthogonal_iteration
 
 MODELS = ("random_corruption", "modified_gaussian", "custom_p0")
-FORMS = ("agreement", "loglik", "debiased-loglik")
 
 # pmfs with less mass than this anywhere get smoothed before taking logs
 MIN_MASS = 1e-12

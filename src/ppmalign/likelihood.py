@@ -232,6 +232,11 @@ class PairwiseObservations:
             raise ValueError("edge endpoints out of range")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.m):
             raise ValueError("residues out of range")
+        # the sampler emits pairs sorted by (j, i), so the linear check
+        # settles the common case and the sort only runs on other inputs
+        key = self.j.astype(np.int64) * self.n + self.i
+        if np.any(np.diff(key) <= 0) and np.unique(key).size != key.size:
+            raise ValueError("duplicate pair in observations")
 
     @property
     def n_edges(self) -> int:

@@ -3,9 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_expansion
 from ppmalign.blockmat import (
+    FORMS,
     CirculantBlockMatrix,
     build,
     estimate_sigma,
@@ -106,7 +109,7 @@ class TestMatvec:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        # force both code paths: small-m direct products and large-m FFT
+        # small and large blocks, odd and even m
         m = int(rng.choice([2, 3, 5, 7, 8, 12, 16, 32]))
         L, _, _, _ = random_instance(rng, m=m)
         dense = dense_expansion(L)
@@ -135,8 +138,43 @@ class TestMatvec:
 
     def test_empty_graph(self):
         L = CirculantBlockMatrix(5, 3, np.array([], dtype=int),
-                                 np.array([], dtype=int), np.zeros((0, 3)))
+                                 np.array([], dtype=int), np.array([], dtype=int),
+                                 np.ones(3))
         np.testing.assert_array_equal(L.matvec(np.ones((5, 3))), np.zeros((5, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), m=st.integers(2, 33),
+           p_obs=st.sampled_from((0.02, 0.1, 0.4, 1.0)), form=st.sampled_from(FORMS),
+           data=st.data())
+    def test_products_match_dense_property(self, seed, n, m, p_obs, form, data):
+        # asymmetric pmfs make G differ from its transpose; low p_obs gives
+        # empty graphs and isolated items
+        rng = np.random.default_rng(seed)
+        pmf = rng.dirichlet(np.full(m, 0.5))
+        d = NoiseDistribution((pmf + 0.01) / (1.0 + 0.01 * m))
+        obs = sample_observations(rng.integers(1, m + 1, n), d, p_obs, seed=seed)
+        L = build(obs, None if form == "agreement" else d, form)
+        dense = dense_expansion(L)
+        z = rng.standard_normal((n, m))
+        w = rng.standard_normal((n, m))
+        Lz = L.matvec(z)
+        scale = max(1.0, np.abs(dense).sum(axis=1).max())
+        np.testing.assert_allclose(Lz.ravel(), dense @ z.ravel(), rtol=0, atol=1e-12 * scale)
+        r = data.draw(st.integers(1, m), label="r")
+        X = rng.standard_normal((n * m, r))
+        np.testing.assert_allclose(L.matmat(X), dense @ X, rtol=0, atol=1e-12 * scale)
+        lhs = float(np.sum(w * Lz))
+        rhs = float(np.sum(z * L.matvec(w)))
+        assert abs(lhs - rhs) <= 1e-10 * scale * n * m
+
+    def test_constructor_validation(self):
+        ii, jj = np.array([2, 1]), np.array([0, 0])
+        with pytest.raises(ValueError):
+            CirculantBlockMatrix(3, 2, ii, jj, np.array([0, 2]), np.zeros(2))
+        with pytest.raises(ValueError):
+            CirculantBlockMatrix(3, 2, ii, jj, np.array([0, 1]), np.zeros(3))
+        with pytest.raises(ValueError):
+            CirculantBlockMatrix(3, 2, jj, ii, np.array([0, 1]), np.zeros(2))
 
     def test_shape_validation(self):
         rng = np.random.default_rng(79)
@@ -158,7 +196,7 @@ class TestMatvec:
             obs = sample_observations(x, d, 1.0, seed=1)
             L = build(obs, d, "loglik")
             z = rng.standard_normal((n, m))
-            L.matvec(z)  # warm the caches
+            L.matvec(z)  # warm up
             best = math.inf
             for _ in range(5):
                 t0 = time.perf_counter()
@@ -230,7 +268,7 @@ class TestSigmaAndSeparation:
 
     def test_zero_matrix(self):
         L = CirculantBlockMatrix(4, 2, np.array([1]), np.array([0]),
-                                 np.zeros((1, 2)))
+                                 np.array([0]), np.zeros(2))
         assert estimate_sigma(L, 1) == 0.0
 
     def test_separation(self):

@@ -266,6 +266,16 @@ class TestObservations:
         np.testing.assert_array_equal(back.j, obs.j)
         np.testing.assert_array_equal(back.y, obs.y)
 
+    def test_duplicate_pairs_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            PairwiseObservations.from_csv("i,j,y\n2,0,1\n3,1,0\n2,0,1\n", n=4, m=2)
+        with pytest.raises(ValueError, match="duplicate"):
+            PairwiseObservations(n=4, m=2, p_obs=1.0, i=np.array([2, 2]),
+                                 j=np.array([1, 1]), y=np.array([0, 1]))
+        # unsorted but distinct pairs are fine
+        obs = PairwiseObservations.from_csv("i,j,y\n3,1,0\n2,0,1\n", n=4, m=2)
+        assert obs.n_edges == 2
+
     def test_regularize_observations(self):
         x = np.ones(80, dtype=int)
         obs = sample_observations(x, random_corruption(1.0, 4), 1.0, seed=1)
