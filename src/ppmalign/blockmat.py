@@ -36,6 +36,50 @@ def _circ_index(m: int) -> np.ndarray:
     return (r[:, None] - r[None, :]) % m
 
 
+def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
+    """The m (2n, n) CSR adjacencies of the factored product, one per shift.
+
+    Entry (i, j) of adjacency y[e] and entry (n + j, i) of adjacency
+    (-y[e]) mod m count the pair e.  Sorting one int64 key per entry by
+    (shift, row, column) in place gives the arrays a COO-to-CSR conversion
+    would, in canonical order with repeats summed, without its temporaries.
+    """
+    e = ii.size
+    key = np.empty(2 * e, dtype=np.int64)
+    fwd, back = key[:e], key[e:]
+    np.multiply(y, 2 * n, out=fwd)
+    fwd += ii
+    fwd *= n
+    fwd += jj
+    np.negative(y, out=back)
+    back %= m
+    back *= 2 * n
+    back += jj
+    back += n
+    back *= n
+    back += ii
+    key.sort()
+    counts = None
+    if e and np.any(key[1:] == key[:-1]):
+        key, counts = np.unique(key, return_counts=True)
+    index_dtype = np.int32 if max(n, key.size) < 2**31 else np.int64
+    indices = np.empty(key.size, dtype=index_dtype)
+    np.remainder(key, n, out=indices, casting="unsafe")
+    key //= n  # now shift * 2n + row
+    indptr = np.zeros(2 * n * m + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(key, minlength=2 * n * m), out=indptr[1:])
+    del key, fwd, back
+    adj = []
+    for s in range(m):
+        ptr = indptr[s * 2 * n:(s + 1) * 2 * n + 1]
+        lo, hi = ptr[0], ptr[-1]
+        # own copies: scipy would copy a slice under half its base anyway
+        data = np.ones(hi - lo) if counts is None else counts[lo:hi].astype(float)
+        adj.append(sp.csr_matrix((data, indices[lo:hi].copy(), ptr - lo),
+                                 shape=(2 * n, n)))
+    return adj
+
+
 class CirculantBlockMatrix:
     """Sparse symmetric matrix of circulant blocks sharing one generator.
 
@@ -80,15 +124,7 @@ class CirculantBlockMatrix:
         # adjacency s gathers, into rows 0..n-1 (stored orientation) and
         # n..2n-1 (mirrored), every neighbour whose block needs shift s
         self._g = h[_circ_index(m).T]
-        rows = np.concatenate([ii, jj + self.n])
-        src = np.concatenate([jj, ii])
-        shift = np.concatenate([y, (-y) % m])
-        self._adj = []
-        for s in range(self.m):
-            sel = shift == s
-            self._adj.append(sp.csr_matrix(
-                (np.ones(np.count_nonzero(sel)), (rows[sel], src[sel])),
-                shape=(2 * self.n, self.n)))
+        self._adj = _shift_adjacencies(self.n, self.m, ii, jj, y)
 
     @property
     def shape(self):

@@ -111,25 +111,35 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 def _cmd_match(args: argparse.Namespace) -> int:
     if args.iters is not None and args.iters < 0:
         raise ConfigError("iters: must be >= 0")
+    if args.seed < 0:
+        raise ConfigError("seed: must be >= 0")
     iters = 50 if args.iters is None else args.iters
+    try:
+        n = None if args.n is None else int(args.n)
+    except ValueError:
+        raise ConfigError(f"n: expected an integer, got {args.n!r}") from None
     truth = None
     if args.obs is not None:
-        if args.n is None or args.m is None:
+        if n is None or args.m is None:
             raise ConfigError("match: loading --obs needs --n and --m")
         try:
             with open(args.obs) as fh:
-                obs = MatchObservations.from_csv(fh.read(), n=int(args.n), m=args.m)
+                obs = MatchObservations.from_csv(fh.read(), n=n, m=args.m)
         except OSError as exc:
             raise ConfigError(f"obs: cannot read {args.obs!r}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"obs: {exc}") from None
     else:
-        n = 50 if args.n is None else int(args.n)
+        n = 50 if n is None else n
         m = 10 if args.m is None else args.m
+        if n < 1 or m < 1:
+            raise ConfigError(f"match: need n >= 1 and m >= 1, got n={n}, m={m}")
         if not 0 <= args.corrupt <= 1:
             raise ConfigError(f"corrupt: must lie in [0, 1], got {args.corrupt}")
-        obs, truth = sample_match_observations(n, m, args.corrupt, seed=args.seed or 0)
+        obs, truth = sample_match_observations(n, m, args.corrupt, seed=args.seed)
         print(f"synthetic instance: input mismatch rate "
               f"{input_mismatch_rate(obs, truth):.4f}", file=sys.stderr)
-    rep = match_solve(obs, T=iters, seed=args.seed or 0, truth=truth)
+    rep = match_solve(obs, T=iters, seed=args.seed, truth=truth)
     if truth is not None:
         print(f"final mismatch rate {rep.final_mismatch:.4f} "
               f"after {rep.iterations_run} iterations", file=sys.stderr)

@@ -41,6 +41,11 @@ def lap_project(score) -> np.ndarray:
     Among all maximizers, returns the lexicographically smallest index
     array, fixing rows in order and preferring smaller columns whenever an
     optimal completion still exists.
+
+    One assignment solve settles the common case: when dual prices show
+    every other permutation worse by more than the tie tolerance, that
+    solve is the answer.  Otherwise rows are fixed greedily, with one
+    sub-assignment per candidate column the prices cannot rule out.
     """
     score = np.asarray(score, dtype=float)
     m = score.shape[0]
@@ -51,14 +56,95 @@ def lap_project(score) -> np.ndarray:
     rows, cols = linear_sum_assignment(score, maximize=True)
     best = float(score[rows, cols].sum())
     tol = _LAP_TOL * max(1.0, abs(best))
-    free = list(range(m))
+    # bound on the rounding in the sums below and in the tie-break's own
+    slack = 8.0 * m * m * np.finfo(float).eps * float(np.abs(score).max())
+    duals = _dual_prices(score, cols, slack)
+    if (duals is not None and (m + 2) * slack < tol
+            and _sole_near_optimum(score, cols, duals, 2.0 * tol + slack)):
+        return cols.astype(np.int64)
+    return _lex_first_assignment(score, best, tol, duals, margin=4.0 * m * slack)
+
+
+def _dual_prices(score, sigma, slack: float):
+    """Prices (u, v) with u[r] + v[c] >= score[r, c] - slack, tight on sigma.
+
+    Any other permutation moves the rows of sigma along disjoint cycles
+    over columns; moving row(c) from column c to c' loses
+    W[c, c'] = score[row(c), c] - score[row(c), c'].  Bellman-Ford
+    potentials d of that graph give v = -d and u = score[r, sigma[r]] +
+    d[sigma[r]].  Returns None when the potentials do not settle within m
+    sweeps or the prices are infeasible beyond slack, which both mean
+    sigma is optimal only up to rounding.
+    """
+    m = sigma.size
+    own = score[np.arange(m), sigma]
+    w = np.empty((m, m))
+    w[sigma] = own[:, None] - score
+    d = np.zeros(m)
+    for _ in range(m):
+        nxt = np.minimum(d, (d[:, None] + w).min(axis=0))
+        if np.array_equal(nxt, d):
+            break
+        d = nxt
+    else:
+        return None
+    u = own + d[sigma]
+    v = -d
+    if (u[:, None] + v[None, :] - score).min() < -slack:
+        return None
+    return u, v
+
+
+def _sole_near_optimum(score, sigma, duals, thr: float) -> bool:
+    """Whether every permutation other than sigma loses more than thr.
+
+    A cycle's loss is the sum of the reduced costs u[r] + v[c] - score[r, c]
+    along it, all of them nonnegative up to rounding.  If the reduced costs
+    at most thr form an acyclic graph over columns, every cycle crosses a
+    costlier edge.
+    """
+    u, v = duals
+    m = sigma.size
+    near = np.empty((m, m), dtype=bool)
+    near[sigma] = u[:, None] + v[None, :] - score <= thr  # edge sigma[r] -> c
+    np.fill_diagonal(near, False)
+    # Kahn peeling: acyclic iff repeatedly dropping the columns no
+    # remaining edge enters empties the graph
+    alive = np.ones(m, dtype=bool)
+    while alive.any():
+        sources = alive & ~near[alive].any(axis=0)
+        if not sources.any():
+            return False
+        alive &= ~sources
+    return True
+
+
+def _lex_first_assignment(score, best: float, tol: float, duals=None,
+                          margin: float = 0.0) -> np.ndarray:
+    """Lexicographically smallest permutation within tol of best.
+
+    Fixes rows in order, taking the smallest free column that still has a
+    completion reaching best - tol.  With dual prices (u, v), a candidate
+    whose completions are all bounded by the prices (weak duality) to fall
+    short by more than margin is skipped without solving it.
+    """
+    m = score.shape[0]
+    if duals is not None:
+        u, v = duals
+        u_after = np.append(np.cumsum(u[::-1])[::-1][1:], 0.0)  # sum of u[a+1:]
+    free = np.ones(m, dtype=bool)
     out = np.empty(m, dtype=np.int64)
     acc = 0.0
     for a in range(m):
-        for c in sorted(free):
-            rest = [x for x in free if x != c]
-            if rest:
-                sub = score[np.ix_(range(a + 1, m), rest)]
+        if duals is not None:
+            cap = best - tol - margin - acc - u_after[a] - v[free].sum()
+        for c in np.flatnonzero(free):
+            if duals is not None and score[a, c] - v[c] < cap:
+                continue
+            if a + 1 < m:
+                rest = free.copy()
+                rest[c] = False
+                sub = score[a + 1:, rest]
                 r2, c2 = linear_sum_assignment(sub, maximize=True)
                 completion = float(sub[r2, c2].sum())
             else:
@@ -66,7 +152,7 @@ def lap_project(score) -> np.ndarray:
             if acc + score[a, c] + completion >= best - tol:
                 out[a] = c
                 acc += score[a, c]
-                free.remove(c)
+                free[c] = False
                 break
         else:
             raise AssertionError("no feasible completion; inconsistent assignment state")
@@ -88,10 +174,20 @@ class MatchObservations:
     blocks: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ValueError("need n >= 1 items and m >= 1 features")
+        if self.ii.ndim != 1 or self.jj.shape != self.ii.shape:
+            raise ValueError("pair arrays must be aligned 1-d arrays")
         if self.blocks.shape != (self.ii.size, self.m, self.m):
             raise ValueError("blocks must be (n_edges, m, m)")
         if self.ii.size and not np.all(self.ii > self.jj):
             raise ValueError("pairs must be stored with i > j")
+        if self.ii.size and (self.ii.max() >= self.n or self.jj.min() < 0):
+            raise ValueError(f"item indices must lie in 0..{self.n - 1}")
+        if np.unique(self.ii.astype(np.int64) * self.n + self.jj).size != self.ii.size:
+            raise ValueError("duplicate pair in observations")
+        if not np.all(np.isfinite(self.blocks)):
+            raise ValueError("block entries must be finite")
 
     @property
     def n_edges(self) -> int:
@@ -120,38 +216,66 @@ class MatchObservations:
 
     @classmethod
     def from_csv(cls, text: str, n: int, m: int):
+        """Load blocks written by ``to_csv``; every block needs all m^2 entries.
+
+        Raises ValueError on a malformed line, an item index outside
+        0..n-1, a feature index outside 0..m-1, a repeated (i, j, row, col)
+        record or an incomplete block.
+        """
         rows = [ln for ln in text.strip().splitlines() if ln]
         if not rows or rows[0].strip() != "i,j,row,col,value":
             raise ValueError("expected header 'i,j,row,col,value'")
-        seen: dict[tuple[int, int], np.ndarray] = {}
-        for ln in rows[1:]:
-            i_s, j_s, a_s, b_s, v_s = ln.split(",")
-            key = (int(i_s), int(j_s))
-            blk = seen.setdefault(key, np.zeros((m, m)))
-            blk[int(a_s), int(b_s)] = float(v_s)
-        if not seen:
+        if n < 1 or m < 1:
+            raise ValueError("need n >= 1 items and m >= 1 features")
+        idx, vals = [], []
+        for lineno, ln in enumerate(rows[1:], start=2):
+            fields = ln.split(",")
+            try:
+                if len(fields) != 5:
+                    raise ValueError
+                idx.append([int(f) for f in fields[:4]])
+                vals.append(float(fields[4]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected i,j,row,col,value, "
+                                 f"got {ln!r}") from None
+        if not idx:
             raise ValueError("no blocks found")
-        keys = sorted(seen)
-        ii = np.array([k[0] for k in keys], dtype=np.int64)
-        jj = np.array([k[1] for k in keys], dtype=np.int64)
-        blocks = np.stack([seen[k] for k in keys])
-        return cls(n=n, m=m, ii=ii, jj=jj, blocks=blocks)
+        if not all(0 <= i < n and 0 <= j < n and 0 <= a < m and 0 <= b < m
+                   for i, j, a, b in idx):
+            raise ValueError(f"indices must lie in 0..{n - 1} (items) "
+                             f"and 0..{m - 1} (features)")
+        i, j, a, b = np.array(idx, dtype=np.int64).T
+        pairs, which = np.unique(i * n + j, return_inverse=True)
+        slot = (which * m + a) * m + b
+        if np.unique(slot).size != slot.size:
+            raise ValueError("duplicate (i, j, row, col) record")
+        if slot.size != pairs.size * m * m:
+            raise ValueError(f"every observed pair needs all {m * m} block entries")
+        blocks = np.empty(slot.size)
+        blocks[slot] = vals
+        return cls(n=n, m=m, ii=pairs // n, jj=pairs % n,
+                   blocks=blocks.reshape(pairs.size, m, m))
 
 
 class DenseBlockMatrix:
-    """Symmetric operator of dense m x m blocks, zero diagonal."""
+    """Symmetric operator of dense m x m blocks, zero diagonal.
+
+    Stored as one (nm, nm) CSR matrix of the nonzero block entries and
+    their mirrors, so a product costs O(nnz r) whatever the block pattern.
+    """
 
     def __init__(self, obs: MatchObservations):
         self.n = obs.n
         self.m = obs.m
-        self.ii = obs.ii
-        self.jj = obs.jj
-        self.blocks = obs.blocks
-        e = obs.n_edges
-        ones = np.ones(e)
-        ar = np.arange(e)
-        self._acc_i = sp.csr_matrix((ones, (self.ii, ar)), shape=(self.n, e))
-        self._acc_j = sp.csr_matrix((ones, (self.jj, ar)), shape=(self.n, e))
+        e, a, b = np.nonzero(obs.blocks)
+        vals = obs.blocks[e, a, b]
+        rows = obs.ii[e] * self.m + a
+        cols = obs.jj[e] * self.m + b
+        nm = self.n * self.m
+        self._a = sp.csr_matrix(
+            (np.concatenate([vals, vals]),
+             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+            shape=(nm, nm))
 
     @property
     def shape(self):
@@ -162,15 +286,7 @@ class DenseBlockMatrix:
         nm = self.n * self.m
         if x.ndim != 2 or x.shape[0] != nm:
             raise ValueError(f"expected shape ({nm}, r)")
-        r = x.shape[1]
-        if self.ii.size == 0:
-            return np.zeros_like(x)
-        zb = x.reshape(self.n, self.m, r)
-        ci = self.blocks @ zb[self.jj]
-        cj = self.blocks.transpose(0, 2, 1) @ zb[self.ii]
-        e = self.ii.size
-        w = self._acc_i @ ci.reshape(e, self.m * r) + self._acc_j @ cj.reshape(e, self.m * r)
-        return w.reshape(nm, r)
+        return self._a @ x
 
 
 def sample_match_observations(n: int, m: int, corrupt_rate: float, seed: int,

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +167,45 @@ class TestMatvec:
         lhs = float(np.sum(w * Lz))
         rhs = float(np.sum(z * L.matvec(w)))
         assert abs(lhs - rhs) <= 1e-10 * scale * n * m
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 12),
+           p_obs=st.sampled_from((0.05, 0.3, 1.0)), form=st.sampled_from(FORMS),
+           repeats=st.booleans())
+    def test_adjacencies_bit_identical_to_coo_build(self, seed, n, m, p_obs, form, repeats):
+        # the CSR arrays are built by sorting keys; a COO-to-CSR conversion of
+        # the same entries is the reference, and products must agree bit for
+        # bit, since even last-bit drift can change an unconverged warm start
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < p_obs
+        ii, jj = hi[keep], lo[keep]
+        if repeats and ii.size:  # direct construction may repeat a pair
+            extra = rng.integers(0, ii.size, 3)
+            ii, jj = np.concatenate([ii, ii[extra]]), np.concatenate([jj, jj[extra]])
+        y = rng.integers(0, m, ii.size)
+        h = np.zeros(m) if form == "agreement" else np.log(rng.dirichlet(np.ones(m)))
+        h[0] += 1.0
+        if form == "debiased-loglik":
+            h -= h.mean()
+        L = CirculantBlockMatrix(n, m, ii, jj, y, h)
+        ref = CirculantBlockMatrix(n, m, ii, jj, y, h)
+        rows = np.concatenate([ii, jj + n])
+        src = np.concatenate([jj, ii])
+        shift = np.concatenate([y, (-y) % m])
+        ref._adj = [
+            sp.csr_matrix((np.ones(np.count_nonzero(shift == s)),
+                           (rows[shift == s], src[shift == s])), shape=(2 * n, n))
+            for s in range(m)
+        ]
+        for got, want in zip(L._adj, ref._adj):
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
+        X = rng.standard_normal((n * m, 3))
+        assert np.array_equal(L.matmat(X), ref.matmat(X))
+        z = rng.standard_normal((n, m))
+        assert np.array_equal(L.matvec(z), ref.matvec(z))
 
     def test_constructor_validation(self):
         ii, jj = np.array([2, 1]), np.array([0, 0])

@@ -324,3 +324,26 @@ class TestCli:
 
         res = cli("match", "--obs", str(path))
         assert res.returncode == 2 and "needs --n and --m" in res.stderr
+
+    def test_match_bad_inputs_exit_2(self, tmp_path):
+        from ppmalign.matching import sample_match_observations
+
+        obs, _ = sample_match_observations(4, 2, 0.0, seed=5)
+        lines = obs.to_csv().splitlines()
+        bad_files = {
+            "range": lines + ["9,0,0,0,1"],
+            "duplicate": lines + [lines[1]],
+            "incomplete": lines[:-1],
+        }
+        runs = [("--n", "abc"), ("--n", "0"), ("--m", "0"), ("--seed", "-1")]
+        for name, text in bad_files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(text) + "\n")
+            runs.append(("--obs", str(path), "--n", "4", "--m", "2"))
+        runs.append(("--obs", str(tmp_path / "range.csv"), "--n", "x", "--m", "2"))
+        for argv in runs:
+            res = cli("match", *argv)
+            assert res.returncode == 2, argv
+            assert res.stderr.startswith("error:"), argv
+            assert len(res.stderr.splitlines()) == 1, argv
+            assert "Traceback" not in res.stderr, argv

@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import ppmalign.matching as matching
 from conftest import dense_match_expansion
 from ppmalign.matching import (
+    _LAP_TOL,
     DenseBlockMatrix,
     MatchObservations,
     input_mismatch_rate,
@@ -27,6 +32,46 @@ def brute_force_lap(score):
             best_val = val
             best_p = p
     return np.array(best_p), best_val
+
+
+def brute_force_lap_within_tol(score):
+    """Lexicographically first permutation within lap_project's tolerance.
+
+    Skips (via assume) scores where some permutation lies so close to the
+    tolerance boundary that rounding alone could decide which side it is on.
+    """
+    m = score.shape[0]
+    perms = list(itertools.permutations(range(m)))
+    vals = np.array([sum(score[a, p[a]] for a in range(m)) for p in perms])
+    best = vals.max()
+    cut = best - _LAP_TOL * max(1.0, abs(best))
+    band = 1e-12 * m * max(1.0, float(np.abs(score).max()))
+    assume(np.all(np.abs(vals - cut) > band))
+    return np.array(perms[int(np.flatnonzero(vals >= cut)[0])])
+
+
+@st.composite
+def score_matrices(draw, max_m):
+    """Square scores that stress the tie-break: integer ties, near-ties at
+    the tolerance scale, large magnitudes and plain continuous draws."""
+    m = draw(st.integers(1, max_m), label="m")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = draw(st.sampled_from(("ties", "near-ties", "large", "continuous")), label="kind")
+    if kind == "ties":
+        return rng.integers(0, 3, (m, m)).astype(float)
+    if kind == "near-ties":
+        eps = draw(st.sampled_from((0.1, 0.5, 1.0, 2.0, 3.0)), label="eps") * _LAP_TOL
+        return rng.integers(0, 3, (m, m)) + eps * rng.integers(-2, 3, (m, m))
+    if kind == "large":
+        return rng.uniform(1e6, 1e7, (m, m)).round() + rng.integers(0, 2, (m, m))
+    return rng.standard_normal((m, m))
+
+
+def greedy_reference(score):
+    """The tie-break alone: no single-solve certificate, no pruning."""
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    best = float(score[rows, cols].sum())
+    return matching._lex_first_assignment(score, best, _LAP_TOL * max(1.0, abs(best)))
 
 
 class TestLapProject:
@@ -63,6 +108,45 @@ class TestLapProject:
             lap_project(np.ones((2, 3)))
         with pytest.raises(ValueError):
             lap_project(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(score=score_matrices(max_m=6))
+    def test_matches_brute_force_property(self, score):
+        np.testing.assert_array_equal(lap_project(score), brute_force_lap_within_tol(score))
+
+    @settings(max_examples=150, deadline=None)
+    @given(score=score_matrices(max_m=20))
+    def test_single_solve_agrees_with_tie_break(self, score):
+        got = lap_project(score)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, greedy_reference(score))
+
+    def test_both_paths_exercised(self, monkeypatch):
+        # one assignment solve for a unique optimum, sub-solves for ties
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linear_sum_assignment(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+        rng = np.random.default_rng(3)
+        lap_project(rng.standard_normal((12, 12)))
+        assert len(calls) == 1
+        calls.clear()
+        np.testing.assert_array_equal(lap_project(np.ones((5, 5))), np.arange(5))
+        assert len(calls) > 1
+
+        # a tie between the last two rows; the prices rule out every
+        # column the plain tie-break solves a sub-assignment for
+        score = 10.0 * np.eye(8)[::-1]
+        score[6:, 0:2] = 10.0
+        calls.clear()
+        got = lap_project(score)
+        priced = len(calls)
+        calls.clear()
+        np.testing.assert_array_equal(got, greedy_reference(score))
+        assert 1 < priced < len(calls)
 
     def test_perm_matrix(self):
         np.testing.assert_array_equal(
@@ -136,6 +220,35 @@ class TestObservations:
         with pytest.raises(ValueError):
             MatchObservations.from_csv("a,b,c\n", n=2, m=2)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ln: ln + ["3,0,0,0,1"], "0..2"),  # item index n
+        (lambda ln: ln + ["2,-1,0,0,1"], "0..2"),  # negative item index
+        (lambda ln: ln[:1] + ["1,0,0,2,1"] + ln[2:], "0..1"),  # feature index m
+        (lambda ln: ln + [ln[1]], "duplicate"),  # repeated record
+        (lambda ln: ln[:-1], "all 4"),  # incomplete block
+        (lambda ln: ln + ["2,1,0,0"], "line"),  # short line
+        (lambda ln: ln + ["2,1,0,x,1"], "line"),  # non-integer index
+        (lambda ln: ln[:1] + ["1,0,0,0,nan"] + ln[2:], "finite"),
+    ])
+    def test_csv_rejects_bad_records(self, edit, message):
+        obs, _ = sample_match_observations(3, 2, 0.0, seed=9)
+        lines = obs.to_csv().splitlines()
+        MatchObservations.from_csv("\n".join(lines), n=3, m=2)  # the unedited file loads
+        with pytest.raises(ValueError, match=message):
+            MatchObservations.from_csv("\n".join(edit(lines)), n=3, m=2)
+
+    def test_constructor_rejects_bad_pairs(self):
+        blocks = np.ones((2, 2, 2))
+        with pytest.raises(ValueError, match="0..2"):
+            MatchObservations(n=3, m=2, ii=np.array([3, 2]), jj=np.array([0, 1]),
+                              blocks=blocks)
+        with pytest.raises(ValueError, match="duplicate"):
+            MatchObservations(n=3, m=2, ii=np.array([2, 2]), jj=np.array([1, 1]),
+                              blocks=blocks)
+        with pytest.raises(ValueError, match="i > j"):
+            MatchObservations(n=3, m=2, ii=np.array([1, 2]), jj=np.array([2, 1]),
+                              blocks=blocks)
+
 
 class TestDenseBlockMatrix:
     def test_matches_dense_oracle(self):
@@ -146,6 +259,28 @@ class TestDenseBlockMatrix:
         x = rng.standard_normal((36, 3))
         np.testing.assert_allclose(op.matmat(x), dense @ x, atol=1e-10)
         np.testing.assert_allclose(dense, dense.T, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), m=st.integers(1, 6),
+           p_obs=st.sampled_from((0.0, 0.3, 1.0)), density=st.sampled_from((0.2, 1.0)),
+           r=st.integers(1, 4))
+    def test_products_match_dense_property(self, seed, n, m, p_obs, density, r):
+        # dense and sparse non-permutation blocks, down to the empty graph
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < p_obs
+        e = int(keep.sum())
+        blocks = rng.standard_normal((e, m, m)) * (rng.random((e, m, m)) < density)
+        obs = MatchObservations(n=n, m=m, ii=hi[keep], jj=lo[keep], blocks=blocks)
+        op = DenseBlockMatrix(obs)
+        dense = dense_match_expansion(obs)
+        x = rng.standard_normal((n * m, r))
+        w = rng.standard_normal((n * m, r))
+        ax = op.matmat(x)
+        assert ax.shape == (n * m, r)
+        np.testing.assert_allclose(ax, dense @ x, rtol=0, atol=1e-12 * max(1, n * m))
+        np.testing.assert_allclose(np.sum(w * ax), np.sum(x * op.matmat(w)),
+                                   rtol=1e-10, atol=1e-10)
 
     def test_shape_validation(self):
         obs, _ = sample_match_observations(5, 3, 0.0, seed=12)
@@ -167,6 +302,23 @@ class TestMatchSolve:
             assert input_mismatch_rate(obs, truth) > 0.2
             assert rep.final_mismatch == 0.0
             assert rep.converged
+
+    def test_single_solve_path_leaves_runs_unchanged(self, monkeypatch):
+        # criterion-7 instances, with and without the dual prices that
+        # certify a single solve and prune the tie-break
+        runs = []
+        for priced in (True, False):
+            if not priced:
+                monkeypatch.setattr(matching, "_dual_prices", lambda *args: None)
+            reps = []
+            for seed in range(4):
+                obs, truth = sample_match_observations(50, 10, 0.3, seed=seed)
+                reps.append(match_solve(obs, T=50, seed=seed, truth=truth))
+            runs.append(reps)
+        for fast, slow in zip(*runs):
+            np.testing.assert_array_equal(fast.perms, slow.perms)
+            assert fast.iterations_run == slow.iterations_run
+            assert fast.mismatch_trace.tobytes() == slow.mismatch_trace.tobytes()
 
     def test_zero_budget_returns_spectral_assignment(self):
         obs, truth = sample_match_observations(15, 4, 0.2, seed=15)
