@@ -22,6 +22,7 @@ import numpy as np
 from .blockmat import FORMS, build
 from .exceptions import ConfigError
 from .likelihood import (
+    PROB_SUM_TOL,
     NoiseDistribution,
     modified_gaussian,
     random_corruption,
@@ -111,7 +112,7 @@ class ExperimentConfig:
             if self.custom_p0 is None:
                 raise ConfigError("p0: model custom_p0 needs an explicit pmf")
             p = np.asarray(self.custom_p0, dtype=float)
-            if p.size != self.m or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+            if p.size != self.m or np.any(p < 0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
                 raise ConfigError("p0: must be a length-m pmf summing to 1")
         if not 0.0 < self.p_obs <= 1.0:
             raise ConfigError(f"pobs: must lie in (0, 1], got {self.p_obs}")

@@ -274,9 +274,13 @@ class PairwiseObservations:
 def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> PairwiseObservations:
     """Draw noisy pairwise differences y_ij = x_i - x_j + eta (mod m).
 
-    Each unordered pair enters independently with probability p_obs; pairs
-    are swept in a fixed lexicographic order so a given seed always yields
-    the same observation set.
+    Each unordered pair enters independently with probability p_obs.  The
+    kept pairs are found by geometric skips over the pairs in lexicographic
+    order, so time and memory are O(n + E) in the number E of kept pairs,
+    not O(n^2), and a given seed always yields the same observation set.
+    At p_obs = 1 every pair is kept and the noise draws start where one
+    uniform per pair would leave the stream, so full-observation instances
+    match a per-pair sampler bit for bit; below 1 the streams differ.
 
     Parameters
     ----------
@@ -287,7 +291,7 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     p_obs : float in (0, 1]
         Pair sampling rate.
     seed : int
-        Seed for the pair mask and the noise draws.
+        Seed for the pair selection and the noise draws.
     """
     x = np.asarray(x, dtype=np.int64)
     m = d.m
@@ -299,15 +303,71 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
         raise ValueError("p_obs must lie in (0, 1]")
     n = x.size
     rng = np.random.default_rng(seed)
-    a, b = np.triu_indices(n, k=1)
-    keep = rng.random(a.size) < p_obs
-    a, b = a[keep], b[keep]
+    a, b = _observed_pairs(n, p_obs, rng)
     cdf = np.cumsum(d.p0)
     eta = np.searchsorted(cdf, rng.random(a.size), side="right")
     np.clip(eta, 0, m - 1, out=eta)
     # store with i > j: y_ij for (i, j) = (b, a)
     y = (x[b] - x[a] + eta) % m
     return PairwiseObservations(n=n, m=m, p_obs=p_obs, i=b, j=a, y=y)
+
+
+def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
+    """Index arrays (a, b), a < b, of the pairs kept at rate p_obs.
+
+    Pairs are ranked in lexicographic order, row a holding the ranks from
+    a(2n - a - 1)/2 on, and the gaps between kept ranks are drawn as
+    geometric(p_obs) variables (Batagelj & Brandes, Phys. Rev. E 71, 2005).
+    At p_obs = 1 the stream is advanced past the N = n(n-1)/2 uniforms
+    that a per-pair mask draws; that is one 64-bit step per float64 for
+    the PCG64 generator ``default_rng`` makes.
+    """
+    total = n * (n - 1) // 2
+    if p_obs == 1:
+        rng.bit_generator.advance(total)
+        return np.triu_indices(n, k=1)
+    blocks = []
+    last = -1  # rank of the last kept pair
+    while last < total - 1:
+        left = total - 1 - last
+        mean = left * p_obs
+        size = min(left, int(mean + 4.0 * math.sqrt(mean)) + 16)
+        k = rng.geometric(p_obs, size)
+        # a gap past the end ends the sweep; capping it keeps the sum in int64
+        np.minimum(k, left + 1, out=k)
+        np.cumsum(k, out=k)
+        k += last
+        stop = int(np.searchsorted(k, total))
+        blocks.append(k[:stop])
+        if stop < size:
+            break
+        last = int(k[-1])
+    k = np.concatenate(blocks)
+    del blocks
+    return _pair_of_rank(k, n)
+
+
+def _pair_of_rank(k: np.ndarray, n: int):
+    """Unrank lexicographic pair ranks k over n items to (a, b), a < b.
+
+    Row a starts at rank a(2n - a - 1)/2.  The float root of that
+    quadratic, taken of its exact integer discriminant, gives a to within
+    one, and one integer step each way makes it exact.
+    """
+    c = 2 * n - 1
+    disc = np.multiply(k, -8)
+    disc += c * c
+    root = np.sqrt(disc)
+    del disc
+    np.subtract(c, root, out=root)
+    root *= 0.5
+    a = np.floor(root, out=root).astype(np.int64)
+    del root
+    a -= a * (c - a) // 2 > k
+    a += (a + 1) * (c - a - 1) // 2 <= k
+    b = k - a * (c - a) // 2
+    b += a + 1
+    return a, b
 
 
 def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: int) -> PairwiseObservations:

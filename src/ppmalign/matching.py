@@ -307,13 +307,14 @@ def sample_match_observations(n: int, m: int, corrupt_rate: float, seed: int,
     a, b = np.triu_indices(n, k=1)
     keep = rng.random(a.size) < p_obs
     a, b = a[keep], b[keep]
-    blocks = np.empty((a.size, m, m))
+    # row r of X_b X_a^T has its 1 where truth[a] takes the value truth[b][r]
+    inverse = np.argsort(truth, axis=1)
+    cols = np.take_along_axis(inverse[a], truth[b], axis=1)
     for e in range(a.size):
-        hi, lo = b[e], a[e]
         if rng.random() < corrupt_rate:
-            blocks[e] = perm_matrix(rng.permutation(m))
-        else:
-            blocks[e] = perm_matrix(truth[hi]) @ perm_matrix(truth[lo]).T
+            cols[e] = rng.permutation(m)
+    blocks = np.zeros((a.size, m, m))
+    np.put_along_axis(blocks, cols[:, :, None], 1.0, axis=2)
     return MatchObservations(n=n, m=m, ii=b, jj=a, blocks=blocks), truth
 
 

@@ -297,6 +297,11 @@ class TestCli:
         res = cli("thresholds")
         assert res.returncode == 2 and "error:" in res.stderr
 
+        # a pmf off by 1e-10 is refused by the config, not by a traceback
+        res = cli("align", "--n", "10", "--model", "custom_p0", "--p0", "0.5,0.4999999999")
+        assert res.returncode == 2 and "p0" in res.stderr
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
     def test_thresholds_table(self):
         res = cli("thresholds", "--n", "100,1000", "--m", "2")
         assert res.returncode == 0

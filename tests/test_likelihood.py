@@ -1,12 +1,19 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import per_pair_sample_observations
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.likelihood import (
     NoiseDistribution,
     PairwiseObservations,
+    _observed_pairs,
+    _pair_of_rank,
     entropy,
     hellinger_sq,
     kl,
@@ -285,3 +292,125 @@ class TestObservations:
         assert 0.1 < changed < 0.3
         again = regularize_observations(obs, 0.25, seed=2)
         np.testing.assert_array_equal(reg.y, again.y)
+
+
+class _FixedGaps:
+    """Stands in for a Generator whose geometric draws are all ``gap``."""
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def geometric(self, p, size):
+        return np.full(size, self.gap, dtype=np.int64)
+
+
+class TestPairSampler:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+           p_obs=st.one_of(
+               st.floats(min_value=1e-300, max_value=1.0),
+               st.sampled_from([1e-300, 1e-12, 1e-6, 1.0 - 1e-12, 1.0 - 1e-6, 1.0]),
+           ))
+    def test_pairs_valid_sorted_and_complete_at_full_rate(self, seed, n, p_obs):
+        x = np.random.default_rng(seed).integers(1, 4, n)
+        obs = sample_observations(x, random_corruption(0.5, 3), p_obs, seed)
+        i, j = obs.i, obs.j
+        assert i.dtype == j.dtype == np.int64
+        assert np.all((0 <= j) & (j < i) & (i < n))
+        key = j * n + i
+        assert np.all(np.diff(key) > 0)
+        if p_obs == 1.0:
+            assert obs.n_edges == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n,m,seed", [(2, 2, 0), (5, 3, 1), (37, 4, 2),
+                                          (500, 2, 3), (1000, 5, 4)])
+    def test_full_rate_byte_equal_to_per_pair_sampler(self, n, m, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.integers(1, m + 1, n)
+        d = NoiseDistribution(rng.dirichlet(np.ones(m)))
+        got = sample_observations(x, d, 1.0, seed)
+        want = per_pair_sample_observations(x, d, 1.0, seed)
+        for name in ("i", "j", "y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 1000, 65537, 200_000, 10**9])
+    def test_unrank_exact_at_row_ends(self, n):
+        if n <= 200_000:
+            a = np.arange(n - 1, dtype=np.int64)
+        else:
+            # the root is off by a row only this far out; take the rows at
+            # both ends and a spread in between
+            a = np.unique(np.concatenate([np.arange(3000), np.arange(n - 3001, n - 1),
+                                          np.arange(0, n - 1, n // 30000)]))
+        first = a * (2 * n - a - 1) // 2
+        last = first + (n - 2 - a)
+        rows, cols = _pair_of_rank(np.concatenate([first, last]), n)
+        np.testing.assert_array_equal(rows, np.concatenate([a, a]))
+        np.testing.assert_array_equal(cols, np.concatenate([a + 1, np.full(a.size, n - 1)]))
+
+    @pytest.mark.parametrize("gap", [1, 2, 7])
+    def test_sweep_runs_on_across_blocks(self, gap):
+        # fixed gaps outlast every block, so the sweep must resume at the
+        # last kept rank until it passes N
+        n = 100
+        a, b = _observed_pairs(n, 0.01, _FixedGaps(gap))
+        ra, rb = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(a, ra[gap - 1::gap])
+        np.testing.assert_array_equal(b, rb[gap - 1::gap])
+
+    def test_overlong_gap_ends_sweep(self):
+        a, b = _observed_pairs(50, 1e-300, _FixedGaps(np.iinfo(np.int64).max))
+        assert a.size == b.size == 0
+
+    def test_inclusion_frequencies_match_binomial(self):
+        n, p, trials = 30, 0.15, 600
+        total = n * (n - 1) // 2
+        x = np.ones(n, dtype=int)
+        d = random_corruption(0.5, 2)
+        hits = np.zeros(total)
+        counts = np.empty(trials)
+        for seed in range(trials):
+            obs = sample_observations(x, d, p, seed)
+            c = 2 * n - 1
+            hits[obs.j * (c - obs.j) // 2 + obs.i - obs.j - 1] += 1
+            counts[seed] = obs.n_edges
+        # every pair is kept Binomial(trials, p) times
+        z = (hits - trials * p) / math.sqrt(trials * p * (1 - p))
+        assert np.abs(z).max() < 5.0
+        assert abs(np.mean(z**2) - 1.0) < 6.0 * math.sqrt(2.0 / total)
+        # edge counts are Binomial(N, p)
+        var = total * p * (1 - p)
+        assert abs(counts.mean() - total * p) < 5.0 * math.sqrt(var / trials)
+        assert abs(counts.var(ddof=1) / var - 1.0) < 5.0 * math.sqrt(2.0 / (trials - 1))
+
+    def test_sparse_edge_counts_match_binomial(self):
+        n, p, trials = 2000, 2e-5, 200
+        total = n * (n - 1) // 2
+        x = np.ones(n, dtype=int)
+        d = random_corruption(0.5, 2)
+        counts = np.array([sample_observations(x, d, p, s).n_edges for s in range(trials)])
+        var = total * p * (1 - p)
+        assert abs(counts.mean() - total * p) < 5.0 * math.sqrt(var / trials)
+        assert abs(counts.var(ddof=1) / var - 1.0) < 5.0 * math.sqrt(2.0 / (trials - 1))
+
+    def test_peak_memory_linear_in_edges(self):
+        n = 5000
+        p = 20 * math.log(n) / n
+        x = np.random.default_rng(0).integers(1, 3, n)
+        d = random_corruption(0.3, 2)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            obs = sample_observations(x, d, p, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        kept = obs.i.nbytes + obs.j.nbytes + obs.y.nbytes
+        assert obs.n_edges > 0.9 * p * n * (n - 1) / 2
+        assert peak < 4 * kept, peak / kept

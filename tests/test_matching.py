@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ppmalign.matching as matching
-from conftest import dense_match_expansion
+from conftest import dense_match_expansion, per_edge_sample_match_observations
 from ppmalign.matching import (
     _LAP_TOL,
     DenseBlockMatrix,
@@ -179,6 +179,19 @@ class TestObservations:
         b, tb = sample_match_observations(12, 4, 0.3, seed=3)
         np.testing.assert_array_equal(a.blocks, b.blocks)
         np.testing.assert_array_equal(ta, tb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), m=st.integers(1, 9),
+           corrupt=st.sampled_from([0.0, 0.3, 1.0]),
+           p_obs=st.sampled_from([1.0, 0.5, 0.05]))
+    def test_blocks_bit_identical_to_per_edge_sampler(self, seed, n, m, corrupt, p_obs):
+        obs, truth = sample_match_observations(n, m, corrupt, seed, p_obs=p_obs)
+        ref, ref_truth = per_edge_sample_match_observations(n, m, corrupt, seed, p_obs)
+        np.testing.assert_array_equal(truth, ref_truth)
+        for name in ("ii", "jj", "blocks"):
+            got, want = getattr(obs, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_blocks_are_permutation_matrices(self):
         obs, _ = sample_match_observations(10, 5, 0.5, seed=4)
