@@ -8,7 +8,7 @@ simplices.  A permutation-valued variant solves joint feature matching
 with per-block linear assignments.
 """
 
-from .blockmat import CirculantBlockMatrix, build, estimate_sigma, expected_matrix, separation
+from .blockmat import CirculantBlockMatrix, build, expected_matrix, separation
 from .exceptions import ConfigError, MissingSigmaError, RegularizationRequiredError
 from .harness import (
     ExperimentConfig,
@@ -91,7 +91,6 @@ __all__ = [
     "default_iterations",
     "dist_mod_shift",
     "entropy",
-    "estimate_sigma",
     "expected_matrix",
     "hellinger_sq",
     "initial_guess",

@@ -168,6 +168,10 @@ class CirculantBlockMatrix:
         zb = x.reshape(self.n, self.m, x.shape[1])
         return self._apply(zb).reshape(nm, x.shape[1])
 
+    def rotate(self, x):
+        """Every block of the (nm, r) columns x rolled by one residue."""
+        return np.roll(np.reshape(x, (self.n, self.m, -1)), 1, axis=1).reshape(np.shape(x))
+
     def block(self, a: int, b: int) -> np.ndarray:
         """Dense copy of block (a, b) for an observed pair, either orientation."""
         if a == b:
@@ -244,22 +248,6 @@ def expected_matrix(n: int, m: int, p_obs: float, d: NoiseDistribution) -> np.nd
     k = k0 - entropy(d)
     out = np.kron(np.ones((n, n)) - np.eye(n), p_obs * k)
     return out
-
-
-def estimate_sigma(L, i: int, iters: int = 200, tol: float = 1e-8) -> float:
-    """i-th largest singular value of L (1-based), via orthogonal iteration.
-
-    Convenience wrapper around the spectral factorization; a zero operator
-    yields 0.  Non-convergence warns and returns the best estimate.
-    """
-    from .spectral import orthogonal_iteration
-
-    if i < 1 or i > L.shape[0]:
-        raise ValueError("singular value index out of range")
-    # guard vectors push the slow-converging subspace boundary past index i
-    r = min(i + 4, L.shape[0])
-    fac = orthogonal_iteration(L, r=r, max_iters=iters, tol=tol, seed=0)
-    return float(fac.S[i - 1])
 
 
 def separation(a, ref: int) -> float:

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .blockmat import FORMS
-from .exceptions import ConfigError
+from .exceptions import ConfigError, MissingSigmaError
 from .harness import (
     build_config,
     parse_config_text,
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MissingSigmaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -239,12 +239,6 @@ def threshold_table(n_grid, m: int, p_obs: float) -> str:
 
 # --- configuration text handling -------------------------------------------
 
-_CONFIG_KEYS = (
-    "model", "n", "param", "m", "pobs", "mu", "form", "trials", "iters",
-    "seed", "varsigma", "init_iters", "init_tol", "early_stop", "p0", "out",
-)
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse flat ``key = value`` lines; '#' starts a comment line."""
     out: dict[str, str] = {}
@@ -285,44 +279,39 @@ def _to_bool(key: str, s: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {s!r}")
 
 
+def _grid(parse):
+    return lambda key, s: tuple(parse(key, item) for item in s.split(","))
+
+
+# config key -> (ExperimentConfig field, value parser); "out" is the output path
+_CONFIG_KEYS = {
+    "model": ("model", lambda key, s: s.strip()),
+    "n": ("n_grid", _grid(_to_int)),
+    "param": ("param_grid", _grid(_to_float)),
+    "m": ("m", _to_int),
+    "pobs": ("p_obs", _to_float),
+    "mu": ("policy", lambda key, s: parse_mu_spec(s)),
+    "form": ("form", lambda key, s: s.strip() or None),
+    "trials": ("trials", _to_int),
+    "iters": ("T", _to_int),
+    "seed": ("seed", _to_int),
+    "varsigma": ("varsigma", _to_float),
+    "init_iters": ("init_iters", _to_int),
+    "init_tol": ("init_tol", _to_float),
+    "early_stop": ("early_stop", _to_bool),
+    "p0": ("custom_p0", _grid(_to_float)),
+    "out": (None, None),
+}
+
+
 def build_config(mapping: dict[str, str]) -> tuple[ExperimentConfig, str | None]:
     """Turn a flat string mapping into a validated config plus output path."""
     unknown = set(mapping) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kw: dict = {}
-    if "model" in mapping:
-        kw["model"] = mapping["model"].strip()
-    if "n" in mapping:
-        kw["n_grid"] = tuple(_to_int("n", s) for s in mapping["n"].split(","))
-    if "param" in mapping:
-        kw["param_grid"] = tuple(_to_float("param", s) for s in mapping["param"].split(","))
-    if "m" in mapping:
-        kw["m"] = _to_int("m", mapping["m"])
-    if "pobs" in mapping:
-        kw["p_obs"] = _to_float("pobs", mapping["pobs"])
-    if "mu" in mapping:
-        kw["policy"] = parse_mu_spec(mapping["mu"])
-    if "form" in mapping:
-        kw["form"] = mapping["form"].strip() or None
-    if "trials" in mapping:
-        kw["trials"] = _to_int("trials", mapping["trials"])
-    if "iters" in mapping:
-        kw["T"] = _to_int("iters", mapping["iters"])
-    if "seed" in mapping:
-        kw["seed"] = _to_int("seed", mapping["seed"])
-    if "varsigma" in mapping:
-        kw["varsigma"] = _to_float("varsigma", mapping["varsigma"])
-    if "init_iters" in mapping:
-        kw["init_iters"] = _to_int("init_iters", mapping["init_iters"])
-    if "init_tol" in mapping:
-        kw["init_tol"] = _to_float("init_tol", mapping["init_tol"])
-    if "early_stop" in mapping:
-        kw["early_stop"] = _to_bool("early_stop", mapping["early_stop"])
-    if "p0" in mapping:
-        kw["custom_p0"] = tuple(_to_float("p0", s) for s in mapping["p0"].split(","))
-    cfg = ExperimentConfig(**kw)
-    return cfg, mapping.get("out")
+    kw = {name: parse(key, mapping[key]) for key, (name, parse) in _CONFIG_KEYS.items()
+          if key in mapping and name is not None}
+    return ExperimentConfig(**kw), mapping.get("out")
 
 
 def with_overrides(cfg: ExperimentConfig, **changes) -> ExperimentConfig:

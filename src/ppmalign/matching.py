@@ -375,8 +375,7 @@ class MatchReport:
         return buf.getvalue()
 
 
-def match_solve(obs: MatchObservations, T: int, seed: int, truth=None,
-                init_iters: int = 200, init_tol: float = 1e-8) -> MatchReport:
+def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchReport:
     """Power iterations with per-block assignment rounding.
 
     Starts from assignments read off a random column block of the rank-m
@@ -391,8 +390,7 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None,
     n, m = obs.n, obs.m
     op = DenseBlockMatrix(obs)
     rng = np.random.default_rng(seed)
-    fac = orthogonal_iteration(op, r=m, max_iters=init_iters, tol=init_tol,
-                               seed=int(rng.integers(2**63)))
+    fac = orthogonal_iteration(op, r=m, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
     col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
     zb = col_block.reshape(n, m, m)

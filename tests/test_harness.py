@@ -302,6 +302,13 @@ class TestCli:
         assert res.returncode == 2 and "p0" in res.stderr
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
+        # an empty graph has sigma_2 = 0, so a sigma_2 scaling cannot be set
+        for cmd in ("align", "sweep"):
+            res = cli(cmd, "--n", "6", "--pobs", "0.01", "--mu", "10/sigma2", "--pi0", "0.5",
+                      "--seed", "3")
+            assert res.returncode == 2 and "singular value" in res.stderr
+            assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
     def test_thresholds_table(self):
         res = cli("thresholds", "--n", "100,1000", "--m", "2")
         assert res.returncode == 0

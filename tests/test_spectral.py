@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_expansion
+from conftest import dense_expansion, dense_match_expansion
 from ppmalign.blockmat import build
-from ppmalign.likelihood import random_corruption, sample_observations
+from ppmalign.likelihood import NoiseDistribution, random_corruption, sample_observations
+from ppmalign.matching import DenseBlockMatrix, sample_match_observations
 from ppmalign.solver import labels_of, mcr
 from ppmalign.spectral import initial_guess, orthogonal_iteration
 
@@ -79,13 +84,18 @@ class TestOrthogonalIteration:
         with pytest.raises(ValueError):
             orthogonal_iteration(op, r=5)
 
-    def test_nonconvergence_warns_with_residual(self):
-        # eigenvalue ratio 0.999 cannot meet 1e-8 in five sweeps
-        a = np.diag([1.0, 0.999, 0.1])
-        with pytest.warns(UserWarning, match="residual"):
-            fac = orthogonal_iteration(DenseOp(a), r=1, max_iters=5, seed=1)
+    def test_early_stop_returns_rank_r_factor(self):
+        # a cluster of top eigenvalues 1e-3 apart cannot meet 1e-8 within
+        # one Lanczos restart; the factor still has rank r and says so
+        a = np.diag(np.r_[1.0, 0.999, 0.998, np.linspace(0.1, 0.99, 200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac = orthogonal_iteration(DenseOp(a), r=3, max_iters=1, seed=1)
+        assert fac.U.shape == (203, 3) and fac.S.shape == (3,)
+        np.testing.assert_allclose(fac.U.T @ fac.U, np.eye(3), atol=1e-12)
         assert not fac.converged
         assert fac.residual > 0
+        assert fac.iterations > 3
 
     def test_signed_spectrum(self):
         # magnitudes govern: a large negative eigenvalue outranks smaller
@@ -95,6 +105,73 @@ class TestOrthogonalIteration:
         np.testing.assert_allclose(fac.S, [5.0, 3.0], atol=1e-8)
         np.testing.assert_allclose(fac.reconstruct(), np.diag([-5.0, 3.0, 0.0]),
                                    atol=1e-7)
+
+
+def assert_matches_eigh(op, dense, r, seed):
+    """S is the top-r |eigenvalue|, U spans a gapped eigenspace, and one
+    seed gives bit-identical output."""
+    lam, vec = np.linalg.eigh(dense)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    mags = np.abs(lam[order])
+    scale = max(1.0, mags[0])
+    fac = orthogonal_iteration(op, r=r, seed=seed)
+    assert fac.converged and fac.residual <= 1e-8
+    np.testing.assert_allclose(fac.S, mags[:r], rtol=0, atol=1e-7 * scale)
+    np.testing.assert_allclose(fac.U.T @ fac.U, np.eye(r), atol=1e-10)
+    if r == mags.size or mags[r - 1] - mags[r] > 1e-2 * scale:
+        top = vec[:, order[:r]]
+        np.testing.assert_allclose(fac.U @ fac.U.T, top @ top.T, atol=1e-5)
+    again = orthogonal_iteration(op, r=r, seed=seed)
+    for name in ("U", "S", "V"):
+        np.testing.assert_array_equal(getattr(fac, name), getattr(again, name))
+    assert (fac.residual, fac.iterations) == (again.residual, again.iterations)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small dense symmetric matrices with signed, often exactly repeated
+    eigenvalues, plus a rank 1..N that includes N - 1 and N."""
+    size = draw(st.integers(1, 12))
+    lam = np.array(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)),
+                   dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                        .standard_normal((size, size)))
+    r = draw(st.one_of(st.integers(1, size), st.sampled_from([max(size - 1, 1), size])))
+    return (q * lam) @ q.T, r
+
+
+class TestAgainstEigh:
+    @settings(max_examples=150, deadline=None)
+    @given(case=symmetric_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_dense_symmetric(self, case, seed):
+        a, r = case
+        assert_matches_eigh(DenseOp(a), a, r, seed)
+
+    # at m in {3, 5} frequencies k and m - k give exactly equal eigenvalue
+    # pairs, so a rank cut often splits a pair.  On a complete graph the
+    # frequency-0 part is h_0 (J - I), whose eigenvalue -h_0 is repeated n - 1
+    # times; with loglik blocks and small n it lies in the top r (examples).
+    @settings(max_examples=100, deadline=None)
+    @example(n=5, m=5, p_obs=1.0, form="loglik", r=4, seed=0)
+    @example(n=6, m=5, p_obs=1.0, form="loglik", r=6, seed=0)
+    @given(n=st.integers(2, 12), m=st.sampled_from([3, 5]),
+           p_obs=st.floats(0.2, 1.0), form=st.sampled_from(["agreement", "loglik"]),
+           r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_circulant_blocks(self, n, m, p_obs, form, r, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(1, m + 1, n)
+        d = NoiseDistribution(rng.dirichlet(np.full(m, 5.0)))
+        obs = sample_observations(x, d, p_obs, seed=seed)
+        L = build(obs, None if form == "agreement" else d, form)
+        assert_matches_eigh(L, dense_expansion(L), min(r, n * m), seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), m=st.sampled_from([3, 5]), corrupt=st.floats(0.0, 1.0),
+           r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_match_blocks(self, n, m, corrupt, r, seed):
+        obs, _ = sample_match_observations(n, m, corrupt, seed=seed)
+        assert_matches_eigh(DenseBlockMatrix(obs), dense_match_expansion(obs),
+                            min(r, n * m), seed)
 
 
 class TestInitialGuess:
