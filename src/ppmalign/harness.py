@@ -94,6 +94,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"model: must be one of {MODELS}, got {self.model!r}")
+        if self.custom_p0 is not None and self.model != "custom_p0":
+            raise ConfigError(f"p0: only model custom_p0 takes a pmf, got model {self.model!r}")
         if self.m < 2:
             raise ConfigError(f"m: must be at least 2, got {self.m}")
         if not self.n_grid or any(n < 2 for n in self.n_grid):

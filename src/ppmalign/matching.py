@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
+from .solver import _period, _run_out_orbit
 from .spectral import orthogonal_iteration
 
 _LAP_TOL = 1e-9
@@ -45,7 +46,8 @@ def lap_project(score) -> np.ndarray:
     One assignment solve settles the common case: when dual prices show
     every other permutation worse by more than the tie tolerance, that
     solve is the answer.  Otherwise rows are fixed greedily, with one
-    sub-assignment per candidate column the prices cannot rule out.
+    sub-assignment per candidate column the prices cannot rule out, up to
+    the column the last admitted completion already uses.
     """
     score = np.asarray(score, dtype=float)
     m = score.shape[0]
@@ -127,6 +129,11 @@ def _lex_first_assignment(score, best: float, tol: float, duals=None,
     completion reaching best - tol.  With dual prices (u, v), a candidate
     whose completions are all bounded by the prices (weak duality) to fall
     short by more than margin is skipped without solving it.
+
+    The completion that admitted a row's column is kept as a witness: its
+    column for the next row is admitted without a new solve.  Re-checking
+    it would sum the same total in another order, and a total within
+    rounding of best - tol could then fail at the next row.
     """
     m = score.shape[0]
     if duals is not None:
@@ -134,11 +141,14 @@ def _lex_first_assignment(score, best: float, tol: float, duals=None,
         u_after = np.append(np.cumsum(u[::-1])[::-1][1:], 0.0)  # sum of u[a+1:]
     free = np.ones(m, dtype=bool)
     out = np.empty(m, dtype=np.int64)
+    witness = None  # witness[a:] completes the rows fixed so far
     acc = 0.0
     for a in range(m):
         if duals is not None:
             cap = best - tol - margin - acc - u_after[a] - v[free].sum()
         for c in np.flatnonzero(free):
+            if witness is not None and c == witness[a]:
+                break
             if duals is not None and score[a, c] - v[c] < cap:
                 continue
             if a + 1 < m:
@@ -150,12 +160,15 @@ def _lex_first_assignment(score, best: float, tol: float, duals=None,
             else:
                 completion = 0.0
             if acc + score[a, c] + completion >= best - tol:
-                out[a] = c
-                acc += score[a, c]
-                free[c] = False
+                if a + 1 < m:
+                    witness = np.empty(m, dtype=np.int64)
+                    witness[a + 1:] = np.flatnonzero(rest)[c2]
                 break
         else:
             raise AssertionError("no feasible completion; inconsistent assignment state")
+        out[a] = c
+        acc += score[a, c]
+        free[c] = False
     return out
 
 
@@ -383,7 +396,10 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
 
         Z_i <- assignment maximizing <(L Z)_i, P>  over permutations P
 
-    until the assignments stop changing or the budget runs out.
+    until the assignments stop changing or the budget runs out.  Once they
+    alternate between two states, the rest of the run is determined, so
+    products stop there while the report still covers all T iterations,
+    as in ``solve``.
     """
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
@@ -402,18 +418,23 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
         trace = [mismatch_rate(perms, truth_arr)]
     ran = 0
     met = False
-    for _ in range(T):
+    prev = None  # the assignments before perms
+    while ran < T:
         z = np.zeros((n, m, m))
         z[np.arange(n)[:, None], np.arange(m)[None, :], perms] = 1.0
         w = op.matmat(z.reshape(n * m, m)).reshape(n, m, m)
         new_perms = np.stack([lap_project(w[i]) for i in range(n)])
         ran += 1
-        met = bool(np.array_equal(new_perms, perms))
-        perms = new_perms
+        period = _period(new_perms, perms, prev)
+        met = period == 1
+        prev, perms = perms, new_perms
         if trace is not None:
             trace.append(mismatch_rate(perms, truth_arr))
         if met:
             break
+        if period:
+            perms = _run_out_orbit([prev, perms], trace, T - ran)
+            ran = T
     return MatchReport(
         perms=perms,
         iterations_run=ran,

@@ -183,6 +183,25 @@ class SolveReport:
         return buf.getvalue()
 
 
+def _period(new, cur, prev) -> int:
+    """1 if new repeats cur bit for bit, 2 if it repeats prev, else 0."""
+    new = new.tobytes()
+    if new == cur.tobytes():
+        return 1
+    return 2 if prev is not None and new == prev.tobytes() else 0
+
+
+def _run_out_orbit(orbit, trace, left: int):
+    """The iterate `left` steps on around orbit, its last iterates, oldest
+    first; trace, if kept, gets the per-step entries the skipped steps
+    would have appended."""
+    period = len(orbit)
+    if trace is not None:
+        tail = trace[-period:]
+        trace.extend(tail[k % period] for k in range(left))
+    return orbit[(left - 1) % period]
+
+
 def default_iterations(n: int) -> int:
     """Default iteration budget ceil(3 ln n); enough for exact recovery
     with room to spare in the regimes where recovery is possible."""
@@ -215,6 +234,14 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
     Returns
     -------
     SolveReport
+
+    Notes
+    -----
+    The update is deterministic, so once an iterate repeats bit for bit,
+    as a fixed point or a 2-cycle, every later one is known.  Products
+    stop there.  Without an early stop the report still covers all T
+    iterations: the trace repeats the cycle, z is the iterate step T
+    would reach, and ``converged`` is what every later step would find.
     """
     z = np.array(z0, dtype=float)
     if z.shape != (L.n, L.m):
@@ -229,7 +256,8 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
         trace.append(mcr(labels_of(z), truth_arr, L.m))
     ran = 0
     met = False
-    for _ in range(T):
+    prev = None  # the iterate before z
+    while ran < T:
         w = L.matvec(z)
         z_new = project_blockwise(w, mu)
         ran += 1
@@ -237,11 +265,15 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
             met = bool(np.array_equal(z_new, z))
         else:
             met = bool(np.max(np.abs(z_new - z)) <= _STALL_TOL)
-        z = z_new
+        period = _period(z_new, z, prev)
+        prev, z = z, z_new
         if trace is not None:
             trace.append(mcr(labels_of(z), truth_arr, L.m))
         if early_stop and met:
             break
+        if period:
+            z = _run_out_orbit([prev, z][-period:], trace, T - ran)
+            ran = T
     return SolveReport(
         estimate=labels_of(z),
         z=z,

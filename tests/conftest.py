@@ -74,3 +74,100 @@ def per_edge_sample_match_observations(n, m, corrupt_rate, seed, p_obs=1.0):
         else:
             blocks[e] = perm_matrix(truth[hi]) @ perm_matrix(truth[lo]).T
     return MatchObservations(n=n, m=m, ii=b, jj=a, blocks=blocks), truth
+
+
+def full_budget_solve(L, z0, policy, T, truth=None, sigmas=None, early_stop=True):
+    """``solver.solve`` as it was before it stopped multiplying at a
+    repeated iterate: one product per step until T or an early stop.
+
+    Reference for the short-circuited loop, whose reports must match this
+    one field for field, bit for bit.
+    """
+    import math
+
+    from ppmalign.simplex import project_blockwise
+    from ppmalign.solver import _STALL_TOL, SolveReport, labels_of, mcr
+
+    z = np.array(z0, dtype=float)
+    if z.shape != (L.n, L.m):
+        raise ValueError(f"z0 must have shape {(L.n, L.m)}")
+    if T < 0:
+        raise ValueError("iteration budget must be nonnegative")
+    mu = policy.resolve_mu(sigmas, L.m)
+    hard = math.isinf(mu)
+    truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
+    trace = [] if truth_arr is not None else None
+    if trace is not None:
+        trace.append(mcr(labels_of(z), truth_arr, L.m))
+    ran = 0
+    met = False
+    for _ in range(T):
+        w = L.matvec(z)
+        z_new = project_blockwise(w, mu)
+        ran += 1
+        if hard:
+            met = bool(np.array_equal(z_new, z))
+        else:
+            met = bool(np.max(np.abs(z_new - z)) <= _STALL_TOL)
+        z = z_new
+        if trace is not None:
+            trace.append(mcr(labels_of(z), truth_arr, L.m))
+        if early_stop and met:
+            break
+    return SolveReport(
+        estimate=labels_of(z),
+        z=z,
+        iterates_mcr=None if trace is None else np.asarray(trace),
+        iterations_run=ran,
+        converged=met,
+        mu_used=mu,
+        sigma_estimates=None if sigmas is None else np.asarray(sigmas, dtype=float),
+    )
+
+
+def full_budget_match_solve(obs, T, seed, truth=None):
+    """``matching.match_solve`` as it was before it stopped multiplying at
+    a 2-cycle: one product per step until T or a fixed point."""
+    from ppmalign.matching import (
+        DenseBlockMatrix,
+        MatchReport,
+        lap_project,
+        mismatch_rate,
+    )
+    from ppmalign.spectral import orthogonal_iteration
+
+    if T < 0:
+        raise ValueError("iteration budget must be nonnegative")
+    n, m = obs.n, obs.m
+    op = DenseBlockMatrix(obs)
+    rng = np.random.default_rng(seed)
+    fac = orthogonal_iteration(op, r=m, seed=int(rng.integers(2**63)))
+    c = int(rng.integers(0, n))
+    col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
+    zb = col_block.reshape(n, m, m)
+    perms = np.stack([lap_project(zb[i]) for i in range(n)])
+    trace = None
+    truth_arr = None
+    if truth is not None:
+        truth_arr = np.asarray(truth, dtype=np.int64)
+        trace = [mismatch_rate(perms, truth_arr)]
+    ran = 0
+    met = False
+    for _ in range(T):
+        z = np.zeros((n, m, m))
+        z[np.arange(n)[:, None], np.arange(m)[None, :], perms] = 1.0
+        w = op.matmat(z.reshape(n * m, m)).reshape(n, m, m)
+        new_perms = np.stack([lap_project(w[i]) for i in range(n)])
+        ran += 1
+        met = bool(np.array_equal(new_perms, perms))
+        perms = new_perms
+        if trace is not None:
+            trace.append(mismatch_rate(perms, truth_arr))
+        if met:
+            break
+    return MatchReport(
+        perms=perms,
+        iterations_run=ran,
+        converged=met,
+        mismatch_trace=None if trace is None else np.asarray(trace),
+    )

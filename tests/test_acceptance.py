@@ -9,6 +9,7 @@ import itertools
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -177,8 +178,8 @@ def test_criterion_5_modified_gaussian_regime():
                            policy=ScalingPolicy.over_sigma_m(20.0), trials=20,
                            seed=47, init_iters=60, early_stop=True)
     means, fracs = [], []
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         for cell, sigma in enumerate(grid):
             finals = np.array([run_trial(cfg, 500, sigma, cell, t)[0].final_mcr
                                for t in range(20)])

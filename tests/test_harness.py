@@ -134,6 +134,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="p0"):
             ExperimentConfig(model="custom_p0", m=3, custom_p0=(0.5, 0.5))
 
+    def test_pmf_needs_custom_model(self):
+        for model, m in (("random_corruption", 3), ("modified_gaussian", 3)):
+            with pytest.raises(ConfigError, match="p0: only model custom_p0"):
+                ExperimentConfig(model=model, m=m, custom_p0=(0.5, 0.5, 0.0))
+
     def test_resolved_form_defaults(self):
         assert ExperimentConfig().resolved_form == "agreement"
         gauss = ExperimentConfig(model="modified_gaussian", m=5, param_grid=(1.0,))
@@ -299,6 +304,11 @@ class TestCli:
 
         # a pmf off by 1e-10 is refused by the config, not by a traceback
         res = cli("align", "--n", "10", "--model", "custom_p0", "--p0", "0.5,0.4999999999")
+        assert res.returncode == 2 and "p0" in res.stderr
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+        # a pmf is refused, not ignored, under a model that does not read it
+        res = cli("align", "--n", "30", "--p0", "0.5,0.5,0")
         assert res.returncode == 2 and "p0" in res.stderr
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 

@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ppmalign.matching as matching
-from conftest import dense_match_expansion, per_edge_sample_match_observations
+from conftest import (
+    dense_match_expansion,
+    full_budget_match_solve,
+    per_edge_sample_match_observations,
+)
 from ppmalign.matching import (
     _LAP_TOL,
     DenseBlockMatrix,
@@ -67,6 +71,13 @@ def score_matrices(draw, max_m):
     return rng.standard_normal((m, m))
 
 
+def near_tie(seed):
+    """Integer scores nudged by 3e-9 steps: some permutation totals land
+    exactly at the tie cut best - tol, where rounding decides the side."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 3, (6, 6)) + 3e-9 * rng.integers(-2, 3, (6, 6))
+
+
 def greedy_reference(score):
     """The tie-break alone: no single-solve certificate, no pruning."""
     rows, cols = linear_sum_assignment(score, maximize=True)
@@ -111,11 +122,19 @@ class TestLapProject:
 
     @settings(max_examples=300, deadline=None)
     @given(score=score_matrices(max_m=6))
+    @example(score=near_tie(328))
+    @example(score=near_tie(454))
+    @example(score=near_tie(1122))
+    @example(score=near_tie(1769))
     def test_matches_brute_force_property(self, score):
         np.testing.assert_array_equal(lap_project(score), brute_force_lap_within_tol(score))
 
     @settings(max_examples=150, deadline=None)
     @given(score=score_matrices(max_m=20))
+    @example(score=near_tie(328))
+    @example(score=near_tie(454))
+    @example(score=near_tie(1122))
+    @example(score=near_tie(1769))
     def test_single_solve_agrees_with_tie_break(self, score):
         got = lap_project(score)
         assert got.dtype == np.int64
@@ -332,6 +351,46 @@ class TestMatchSolve:
             np.testing.assert_array_equal(fast.perms, slow.perms)
             assert fast.iterations_run == slow.iterations_run
             assert fast.mismatch_trace.tobytes() == slow.mismatch_trace.tobytes()
+
+    # seed 0 at n=10, m=4, corrupt=0.6 enters a 2-cycle at step 5, so T = 8
+    # and T = 9 leave an odd and an even number of steps to pad
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), m=st.integers(1, 5),
+           corrupt=st.sampled_from((0.0, 0.2, 0.4, 0.6, 0.8)),
+           p_obs=st.sampled_from((0.5, 1.0)),
+           T=st.one_of(st.sampled_from((0, 1, 2)), st.integers(3, 30)),
+           with_truth=st.booleans())
+    @example(seed=0, n=10, m=4, corrupt=0.6, p_obs=1.0, T=8, with_truth=True)
+    @example(seed=0, n=10, m=4, corrupt=0.6, p_obs=1.0, T=9, with_truth=True)
+    def test_report_matches_full_budget_loop(self, seed, n, m, corrupt, p_obs, T,
+                                             with_truth):
+        obs, truth = sample_match_observations(n, m, corrupt, seed=seed, p_obs=p_obs)
+        truth = truth if with_truth else None
+        got = match_solve(obs, T=T, seed=seed, truth=truth)
+        want = full_budget_match_solve(obs, T=T, seed=seed, truth=truth)
+        assert got.perms.dtype == want.perms.dtype
+        assert got.perms.tobytes() == want.perms.tobytes()
+        assert got.iterations_run == want.iterations_run
+        assert got.converged is want.converged
+        if with_truth:
+            assert got.mismatch_trace.tobytes() == want.mismatch_trace.tobytes()
+        else:
+            assert got.mismatch_trace is None and want.mismatch_trace is None
+
+    def test_two_cycle_stops_products_at_the_repeat(self, monkeypatch):
+        # without truth, each step projects n blocks and nothing else
+        calls = []
+        lap = matching.lap_project
+        monkeypatch.setattr(matching, "lap_project", lambda s: (calls.append(1), lap(s))[1])
+        obs, _ = sample_match_observations(10, 4, 0.6, seed=0)
+        finals = set()
+        for T in (8, 9):
+            calls.clear()
+            rep = match_solve(obs, T=T, seed=0)
+            assert len(calls) == 10 * (1 + 5)
+            assert rep.iterations_run == T and not rep.converged
+            finals.add(rep.perms.tobytes())
+        assert len(finals) == 2
 
     def test_zero_budget_returns_spectral_assignment(self):
         obs, truth = sample_match_observations(15, 4, 0.2, seed=15)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import full_budget_solve
 from ppmalign.blockmat import build
 from ppmalign.exceptions import MissingSigmaError
 from ppmalign.likelihood import random_corruption, sample_observations
@@ -197,6 +200,109 @@ class TestSolve:
     def test_default_iterations(self):
         assert default_iterations(500) == 19
         assert default_iterations(7) == 6
+
+
+class CountingOp:
+    """An operator wrapper that counts the products it is asked for."""
+
+    def __init__(self, L):
+        self.L, self.n, self.m = L, L.n, L.m
+        self.products = 0
+
+    def matvec(self, z):
+        self.products += 1
+        return self.L.matvec(z)
+
+
+def assert_same_report(got, want):
+    """Every SolveReport field equal, arrays bit for bit."""
+    for name in ("estimate", "z", "iterates_mcr", "sigma_estimates"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+    assert got.iterations_run == want.iterations_run
+    assert got.converged is want.converged
+    assert got.mu_used == want.mu_used
+
+
+def orbit_instance(seed, n, m, pi0, p_obs):
+    """A sampled agreement operator, its truth and a random interior start."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(1, m + 1, n)
+    obs = sample_observations(x, random_corruption(pi0, m), p_obs,
+                              seed=int(rng.integers(2**32)))
+    return build(obs, None, "agreement"), x, rng.dirichlet(np.ones(m), size=n)
+
+
+class TestRepeatedIterate:
+    # the 2-cycling examples repeat an iterate at step 6 (mu = inf) and at
+    # step 5 (mu = 2), so each pair leaves an odd and an even number of
+    # steps to pad
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 25), m=st.integers(2, 4),
+           pi0=st.sampled_from((0.1, 0.2, 0.35, 0.5, 1.0)),
+           p_obs=st.sampled_from((0.5, 1.0)),
+           mu=st.one_of(st.just(math.inf), st.floats(0.05, 5.0)),
+           T=st.one_of(st.sampled_from((0, 1, 2)), st.integers(3, 40)),
+           early_stop=st.booleans(), with_truth=st.booleans(),
+           start=st.sampled_from(("interior", "vertex", "truth")))
+    @example(seed=0, n=16, m=3, pi0=0.35, p_obs=1.0, mu=math.inf, T=9,
+             early_stop=False, with_truth=True, start="interior")
+    @example(seed=0, n=16, m=3, pi0=0.35, p_obs=1.0, mu=math.inf, T=10,
+             early_stop=True, with_truth=True, start="interior")
+    @example(seed=0, n=16, m=3, pi0=0.35, p_obs=1.0, mu=2.0, T=8,
+             early_stop=True, with_truth=True, start="interior")
+    @example(seed=0, n=16, m=3, pi0=0.35, p_obs=1.0, mu=2.0, T=9,
+             early_stop=False, with_truth=True, start="interior")
+    def test_report_matches_full_budget_loop(self, seed, n, m, pi0, p_obs, mu, T,
+                                             early_stop, with_truth, start):
+        L, x, z0 = orbit_instance(seed, n, m, pi0, p_obs)
+        if start == "vertex":
+            z0 = lift(labels_of(z0), m)
+        elif start == "truth":
+            z0 = lift(x, m)
+        if math.isinf(mu):
+            policy, sigmas = ScalingPolicy.infinite(), None
+        else:
+            policy, sigmas = ScalingPolicy.over_sigma2(mu), np.array([2.0, 1.0])
+        truth = x if with_truth else None
+        op = CountingOp(L)
+        got = solve(op, z0, policy, T, truth=truth, sigmas=sigmas, early_stop=early_stop)
+        want = full_budget_solve(L, z0, policy, T, truth=truth, sigmas=sigmas,
+                                 early_stop=early_stop)
+        assert_same_report(got, want)
+        assert op.products <= want.iterations_run
+        if with_truth:
+            assert got.trace_csv() == want.trace_csv()
+
+    def test_exact_start_takes_one_product(self):
+        L, x = make_instance(64, 3, 1.0, seed=6)
+        op = CountingOp(L)
+        rep = solve(op, lift(x, 3), ScalingPolicy.infinite(), T=50, truth=x,
+                    early_stop=False)
+        assert op.products == 1
+        assert rep.iterations_run == 50
+        assert rep.converged
+        assert rep.iterates_mcr.shape == (51,)
+        assert not rep.iterates_mcr.any()
+
+    @pytest.mark.parametrize("mu,t_repeat", [(math.inf, 6), (2.0, 5)])
+    def test_two_cycle_stops_products_at_the_repeat(self, mu, t_repeat):
+        L, x, z0 = orbit_instance(0, 16, 3, 0.35, 1.0)
+        policy = ScalingPolicy.infinite() if math.isinf(mu) else ScalingPolicy.fixed(mu)
+        finals = set()
+        for left in (3, 4):
+            op = CountingOp(L)
+            got = solve(op, z0, policy, t_repeat + left, truth=x, early_stop=False)
+            want = full_budget_solve(L, z0, policy, t_repeat + left, truth=x,
+                                     early_stop=False)
+            assert op.products == t_repeat
+            assert not got.converged
+            assert_same_report(got, want)
+            finals.add(got.z.tobytes())
+        assert len(finals) == 2  # the parity of the steps left picks the end
 
 
 class TestContraction:
