@@ -8,7 +8,7 @@ simplices.  A permutation-valued variant solves joint feature matching
 with per-block linear assignments.
 """
 
-from .blockmat import CirculantBlockMatrix, build, expected_matrix, separation
+from .blockmat import CirculantBlockMatrix, build
 from .exceptions import ConfigError, MissingSigmaError, RegularizationRequiredError
 from .harness import (
     ExperimentConfig,
@@ -21,25 +21,20 @@ from .harness import (
     run_trial,
     sweep_csv,
     threshold_table,
-    with_overrides,
 )
 from .likelihood import (
     NoiseDistribution,
     PairwiseObservations,
     entropy,
-    hellinger_sq,
     kl,
     kl_min_max,
-    loglik_block,
     modified_gaussian,
     random_corruption,
     regularize,
     regularize_observations,
     sample_observations,
-    shift_distribution,
     threshold_kl,
     threshold_random_corruption,
-    total_variation,
 )
 from .matching import (
     DenseBlockMatrix,
@@ -52,14 +47,13 @@ from .matching import (
     perm_matrix,
     sample_match_observations,
 )
-from .simplex import is_feasible, project_blockwise, project_simplex, round_to_vertex
+from .simplex import project_blockwise
 from .solver import (
     ContractionReport,
     ScalingPolicy,
     SolveReport,
     check_contraction,
     default_iterations,
-    dist_mod_shift,
     labels_of,
     lift,
     mcr,
@@ -89,20 +83,15 @@ __all__ = [
     "build_config",
     "check_contraction",
     "default_iterations",
-    "dist_mod_shift",
     "entropy",
-    "expected_matrix",
-    "hellinger_sq",
     "initial_guess",
     "input_mismatch_rate",
-    "is_feasible",
     "iterations_to_recovery",
     "kl",
     "kl_min_max",
     "labels_of",
     "lap_project",
     "lift",
-    "loglik_block",
     "match_solve",
     "mcr",
     "mismatch_rate",
@@ -112,24 +101,18 @@ __all__ = [
     "parse_mu_spec",
     "perm_matrix",
     "project_blockwise",
-    "project_simplex",
     "random_corruption",
     "regularize",
     "regularize_observations",
-    "round_to_vertex",
     "run_single",
     "run_sweep",
     "run_trial",
     "sample_match_observations",
     "sample_observations",
-    "separation",
-    "shift_distribution",
     "shift_labels",
     "solve",
     "sweep_csv",
     "threshold_kl",
     "threshold_random_corruption",
     "threshold_table",
-    "total_variation",
-    "with_overrides",
 ]

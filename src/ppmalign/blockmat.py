@@ -1,4 +1,4 @@
-"""Symmetric block matrices with circulant blocks, and their expectation.
+"""Symmetric block matrices with circulant blocks.
 
 The lifted input of the alignment problem is an (nm, nm) symmetric matrix L
 of n x n blocks of size m x m.  Diagonal blocks are zero.  Off-diagonal
@@ -16,18 +16,14 @@ circulant, and needs no per-pair arrays.
 from __future__ import annotations
 
 import functools
-import io
 
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import RegularizationRequiredError
-from .likelihood import NoiseDistribution, PairwiseObservations, entropy, kl
+from .likelihood import NoiseDistribution, PairwiseObservations
 
 FORMS = ("agreement", "loglik", "debiased-loglik")
-
-# expected_matrix materializes a dense (nm, nm) array; keep it desk-sized
-_DENSE_CAP = 4096
 
 
 def _circ_index(m: int) -> np.ndarray:
@@ -183,16 +179,6 @@ class CirculantBlockMatrix:
         blk = self.h[(self.y[hits[0]] - _circ_index(self.m)) % self.m]
         return blk if a > b else blk.T
 
-    def dump_block(self, a: int, b: int) -> str:
-        """CSV dump of one block with header alpha,beta,value (debug aid)."""
-        blk = self.block(a, b)
-        buf = io.StringIO()
-        buf.write("alpha,beta,value\n")
-        for al in range(self.m):
-            for be in range(self.m):
-                buf.write(f"{al},{be},{blk[al, be]:.17g}\n")
-        return buf.getvalue()
-
 
 def build(obs: PairwiseObservations, d: NoiseDistribution | None = None,
           form: str = "agreement") -> CirculantBlockMatrix:
@@ -230,36 +216,3 @@ def build(obs: PairwiseObservations, d: NoiseDistribution | None = None,
         h = h - h.mean()
     return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, obs.y, h,
                                 debiased=(form == "debiased-loglik"))
-
-
-def expected_matrix(n: int, m: int, p_obs: float, d: NoiseDistribution) -> np.ndarray:
-    """Dense expectation of the log-likelihood input matrix.
-
-    Off-diagonal blocks equal p_obs * K where K[a, b] = -KL(P0 || P_{a-b})
-    - H(P0); diagonal blocks are zero.  Intended as a small-scale oracle,
-    so nm is capped at 4096.
-    """
-    if n * m > _DENSE_CAP:
-        raise ValueError(f"dense expectation capped at nm <= {_DENSE_CAP}")
-    if not 0 < p_obs <= 1:
-        raise ValueError("p_obs must lie in (0, 1]")
-    kl_l = np.array([kl(d.p0, np.roll(d.p0, l)) for l in range(m)])
-    k0 = -kl_l[_circ_index(m)]
-    k = k0 - entropy(d)
-    out = np.kron(np.ones((n, n)) - np.eye(n), p_obs * k)
-    return out
-
-
-def separation(a, ref: int) -> float:
-    """Margin of the reference entry: a[ref] - max of the others.
-
-    Positive when ref strictly dominates; the rounding step maps the block
-    to vertex ref exactly when this margin is positive.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("need a 1-d block with m >= 2")
-    if not 0 <= ref < a.size:
-        raise ValueError("reference index out of range")
-    others = np.delete(a, ref)
-    return float(a[ref] - others.max())

@@ -132,8 +132,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
     else:
         n = 50 if n is None else n
         m = 10 if args.m is None else args.m
-        if n < 1 or m < 1:
-            raise ConfigError(f"match: need n >= 1 and m >= 1, got n={n}, m={m}")
+        if n < 2 or m < 1:
+            raise ConfigError(f"match: need n >= 2 and m >= 1, got n={n}, m={m}")
         if not 0 <= args.corrupt <= 1:
             raise ConfigError(f"corrupt: must lie in [0, 1], got {args.corrupt}")
         obs, truth = sample_match_observations(n, m, args.corrupt, seed=args.seed)

@@ -8,14 +8,14 @@ order, or re-running a single cell, reproduces identical numbers; the
 emitted CSV is byte-stable for a fixed config.
 
 Config files are flat ``key = value`` text; command-line flags override
-file values; unknown keys are rejected.
+file values; unknown and repeated keys are rejected.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,21 +54,19 @@ def parse_mu_spec(spec: str) -> ScalingPolicy:
     s = spec.strip().lower()
     if s == "inf":
         return ScalingPolicy.infinite()
-    if "/" in s:
-        num, _, ref = s.partition("/")
-        try:
-            c = float(num)
-        except ValueError:
-            raise ConfigError(f"mu: cannot parse constant in {spec!r}") from None
-        if ref == "sigma2":
-            return ScalingPolicy.over_sigma2(c)
-        if ref == "sigmam":
-            return ScalingPolicy.over_sigma_m(c)
+    num, slash, ref = s.partition("/")
+    if slash and ref not in ("sigma2", "sigmam"):
         raise ConfigError(f"mu: unknown sigma reference {ref!r} (want sigma2 or sigmam)")
     try:
-        return ScalingPolicy.fixed(float(s))
+        c = float(num)
     except ValueError:
         raise ConfigError(f"mu: cannot parse {spec!r}") from None
+    try:
+        if not slash:
+            return ScalingPolicy.fixed(c)
+        return ScalingPolicy.over_sigma2(c) if ref == "sigma2" else ScalingPolicy.over_sigma_m(c)
+    except ValueError as exc:
+        raise ConfigError(f"mu: {exc}, got {spec!r}") from None
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if self.T is not None and self.T < 0:
             raise ConfigError(f"iters: must be >= 0, got {self.T}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not 0.0 < self.varsigma < 1.0:
             raise ConfigError(f"varsigma: must lie in (0, 1), got {self.varsigma}")
         if self.init_iters < 1:
@@ -242,8 +242,12 @@ def threshold_table(n_grid, m: int, p_obs: float) -> str:
 # --- configuration text handling -------------------------------------------
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment line."""
+    """Parse flat ``key = value`` lines; '#' starts a comment line.
+
+    A key may appear once; a repeat is an error naming both lines.
+    """
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -254,6 +258,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {ln_no}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"config line {ln_no}: key {key!r} already set on line {seen[key]}")
+        seen[key] = ln_no
         out[key] = value.strip()
     return out
 
@@ -314,16 +321,6 @@ def build_config(mapping: dict[str, str]) -> tuple[ExperimentConfig, str | None]
     kw = {name: parse(key, mapping[key]) for key, (name, parse) in _CONFIG_KEYS.items()
           if key in mapping and name is not None}
     return ExperimentConfig(**kw), mapping.get("out")
-
-
-def with_overrides(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Functional update that re-runs validation."""
-    clean = {k: v for k, v in changes.items() if v is not None}
-    names = {f.name for f in fields(ExperimentConfig)}
-    bad = set(clean) - names
-    if bad:
-        raise ConfigError(f"unknown config fields: {sorted(bad)}")
-    return replace(cfg, **clean)
 
 
 def iterations_to_recovery(report: SolveReport) -> float:

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import RegularizationRequiredError
-
 PROB_SUM_TOL = 1e-12
 
 
@@ -103,11 +101,6 @@ def modified_gaussian(sigma: float, m: int) -> NoiseDistribution:
     return NoiseDistribution(p)
 
 
-def shift_distribution(d: NoiseDistribution, l: int) -> NoiseDistribution:
-    """The law of y given relative offset l: P_l(y) = P0(y - l mod m)."""
-    return NoiseDistribution(np.roll(d.p0, l % d.m))
-
-
 def regularize(d: NoiseDistribution, varsigma: float = 0.01) -> NoiseDistribution:
     """Mix with the uniform distribution: (1 - varsigma) P0 + varsigma Unif.
 
@@ -134,20 +127,6 @@ def kl(p, q) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def hellinger_sq(p, q) -> float:
-    """Squared Hellinger distance (1/2) sum (sqrt p - sqrt q)^2."""
-    p, q = _probs(p), _probs(q)
-    if p.size != q.size:
-        raise ValueError("distributions must share the same support size")
-    return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
-
-
-def total_variation(p, q) -> float:
-    """Total variation distance (1/2) sum |p - q|."""
-    p, q = _probs(p), _probs(q)
-    return float(0.5 * np.sum(np.abs(p - q)))
-
-
 def entropy(d) -> float:
     """Shannon entropy -sum p log p in nats (0 log 0 = 0)."""
     p = _probs(d)
@@ -163,28 +142,6 @@ def kl_min_max(d: NoiseDistribution) -> tuple[float, float]:
     """
     vals = [kl(d.p0, np.roll(d.p0, l)) for l in range(1, d.m)]
     return (min(vals), max(vals))
-
-
-def loglik_block(d: NoiseDistribution, y: int) -> np.ndarray:
-    """The (m, m) block log P_{a-b}(y) = log P0(y - a + b mod m), 0-based a, b.
-
-    Circulant: the entry depends only on (a - b) mod m.  Raises
-    RegularizationRequiredError if any residue has zero probability, since
-    every residue's log appears in the block.
-    """
-    col = loglik_first_col(d, y)
-    m = d.m
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    return col[idx]
-
-
-def loglik_first_col(d: NoiseDistribution, y: int) -> np.ndarray:
-    """First column of the log-likelihood block: col[a] = log P0(y - a mod m)."""
-    m = d.m
-    if np.any(d.p0 == 0):
-        bad = int(np.argmin(d.p0))
-        raise RegularizationRequiredError(bad)
-    return np.log(d.p0[(int(y) - np.arange(m)) % m])
 
 
 def threshold_random_corruption(n: int, m: int, p_obs: float, constant: float = 1.01) -> float:
@@ -241,17 +198,6 @@ class PairwiseObservations:
     @property
     def n_edges(self) -> int:
         return self.i.size
-
-    def value(self, a: int, b: int) -> int:
-        """y_ab for an observed pair, honoring the mirror convention."""
-        if a == b:
-            raise KeyError("no self-pairs are observed")
-        lo, hi = (b, a) if a > b else (a, b)
-        hits = np.flatnonzero((self.i == hi) & (self.j == lo))
-        if hits.size == 0:
-            raise KeyError(f"pair ({a}, {b}) was not observed")
-        v = int(self.y[hits[0]])
-        return v if a > b else (self.m - v) % self.m
 
     def to_csv(self) -> str:
         buf = io.StringIO()

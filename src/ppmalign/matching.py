@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from .solver import _period, _run_out_orbit
+from .solver import _power_loop
 from .spectral import orthogonal_iteration
 
 _LAP_TOL = 1e-9
@@ -351,8 +351,10 @@ def input_mismatch_rate(obs: MatchObservations, truth) -> float:
 
     Each block row's argmax is read as the input's proposed feature match;
     intended for permutation-valued inputs such as the synthetic corrupted
-    instances.
+    instances.  Raises ValueError when no pair is observed.
     """
+    if obs.n_edges == 0:
+        raise ValueError("no observed pairs to compare")
     truth = np.asarray(truth, dtype=np.int64)
     wrong = 0
     for e in range(obs.n_edges):
@@ -388,6 +390,11 @@ class MatchReport:
         return buf.getvalue()
 
 
+def _assign(blocks) -> np.ndarray:
+    """The best permutation of every (m, m) score block, stacked (n, m)."""
+    return np.stack([lap_project(b) for b in blocks])
+
+
 def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchReport:
     """Power iterations with per-block assignment rounding.
 
@@ -396,10 +403,9 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
 
         Z_i <- assignment maximizing <(L Z)_i, P>  over permutations P
 
-    until the assignments stop changing or the budget runs out.  Once they
-    alternate between two states, the rest of the run is determined, so
-    products stop there while the report still covers all T iterations,
-    as in ``solve``.
+    until the assignments stop changing or the budget runs out.  The loop
+    is the one ``solve`` runs: once the assignments alternate between two
+    states, products stop while the report still covers all T iterations.
     """
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
@@ -409,32 +415,17 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
     fac = orthogonal_iteration(op, r=m, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
     col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
-    zb = col_block.reshape(n, m, m)
-    perms = np.stack([lap_project(zb[i]) for i in range(n)])
-    trace = None
-    truth_arr = None
-    if truth is not None:
-        truth_arr = np.asarray(truth, dtype=np.int64)
-        trace = [mismatch_rate(perms, truth_arr)]
-    ran = 0
-    met = False
-    prev = None  # the assignments before perms
-    while ran < T:
+    perms = _assign(col_block.reshape(n, m, m))
+    rows, feats = np.arange(n)[:, None], np.arange(m)[None, :]
+
+    def step(cur):
         z = np.zeros((n, m, m))
-        z[np.arange(n)[:, None], np.arange(m)[None, :], perms] = 1.0
-        w = op.matmat(z.reshape(n * m, m)).reshape(n, m, m)
-        new_perms = np.stack([lap_project(w[i]) for i in range(n)])
-        ran += 1
-        period = _period(new_perms, perms, prev)
-        met = period == 1
-        prev, perms = perms, new_perms
-        if trace is not None:
-            trace.append(mismatch_rate(perms, truth_arr))
-        if met:
-            break
-        if period:
-            perms = _run_out_orbit([prev, perms], trace, T - ran)
-            ran = T
+        z[rows, feats, cur] = 1.0
+        return _assign(op.matmat(z.reshape(n * m, m)).reshape(n, m, m))
+
+    truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
+    score = None if truth_arr is None else (lambda p: mismatch_rate(p, truth_arr))
+    perms, trace, ran, met = _power_loop(perms, step, np.array_equal, T, True, score)
     return MatchReport(
         perms=perms,
         iterations_run=ran,

@@ -1,9 +1,8 @@
 """Euclidean projection onto the probability simplex, blockwise and with rounding.
 
 The iterates of the alignment solver live in a product of n standard
-simplices in R^m, one block per item.  Everything here operates on plain
-numpy arrays: a single block is a length-m vector, a full iterate is an
-(n, m) array whose rows are blocks.
+simplices in R^m, one block per item.  Everything here operates on an
+(n, m) numpy array whose rows are the blocks, all rows at once.
 
 ``mu = math.inf`` is accepted as a distinguished policy value meaning
 "project the rescaled point from infinitely far out", which collapses to
@@ -14,43 +13,6 @@ branched on before any arithmetic, never multiplied through.
 import math
 
 import numpy as np
-
-# Feasibility tolerances: row sums within SUM_TOL of 1, entries allowed to
-# dip NEG_TOL below zero before being considered infeasible.
-SUM_TOL = 1e-9
-NEG_TOL = 1e-12
-
-
-def project_simplex(v):
-    """Project a vector onto the probability simplex {x >= 0, sum x = 1}.
-
-    Sorting-based exact algorithm, O(m log m).  Ties in the input are
-    handled like any other values; the result is the unique Euclidean
-    projection.
-
-    Parameters
-    ----------
-    v : array_like, shape (m,)
-        Point to project.  Must be finite.
-
-    Returns
-    -------
-    ndarray, shape (m,)
-        The projection, entrywise >= 0 and summing to 1 up to rounding.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project a vector with non-finite entries")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u - (css - 1.0) / ks > 0
-    # the satisfying indices form a prefix; take the last one
-    rho = v.size - 1 - int(np.argmax(cond[::-1]))
-    theta = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(v - theta, 0.0)
 
 
 def project_rows(z):
@@ -68,14 +30,6 @@ def project_rows(z):
     rho = m - 1 - np.argmax(cond[:, ::-1], axis=1)
     theta = (css[np.arange(n), rho] - 1.0) / (rho + 1)
     return np.maximum(z - theta[:, None], 0.0)
-
-
-def round_to_vertex(v):
-    """Vertex of the simplex at the largest entry of v (ties: smallest index)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    out[np.argmax(v)] = 1.0
-    return out
 
 
 def round_rows(z):
@@ -107,12 +61,3 @@ def project_blockwise(z, mu):
     if not mu > 0:
         raise ValueError(f"scaling mu must be positive or inf, got {mu}")
     return project_rows(np.asarray(z, dtype=float) * mu)
-
-
-def is_feasible(z, sum_tol=SUM_TOL, neg_tol=NEG_TOL):
-    """Check that every row of z lies on the simplex within tolerance."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
-    sums_ok = np.all(np.abs(z.sum(axis=1) - 1.0) <= sum_tol)
-    return bool(sums_ok and np.all(z >= -neg_tol))

@@ -69,18 +69,6 @@ def mcr(a, b, m: int) -> float:
     return best / a.size
 
 
-def dist_mod_shift(z, x, m: int) -> float:
-    """Euclidean distance from blocks z to the lift of x, minimized over shifts."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=np.int64)
-    if z.shape != (x.size, m):
-        raise ValueError("blocks and labels disagree on (n, m)")
-    best = math.inf
-    for l in range(m):
-        best = min(best, float(np.linalg.norm(z - lift(shift_labels(x, l, m), m))))
-    return best
-
-
 @dataclass(frozen=True)
 class ScalingPolicy:
     """How the projection scaling mu_t is chosen (constant across t).
@@ -202,6 +190,37 @@ def _run_out_orbit(orbit, trace, left: int):
     return orbit[(left - 1) % period]
 
 
+def _power_loop(z, step, stalled, T: int, early_stop: bool, score=None):
+    """Up to T steps z <- step(z); the loop of both problem families.
+
+    step is one operator product followed by the per-block projection,
+    stalled(new, cur) says whether a step met the stopping test, and
+    score, when given, maps an iterate to its trace entry.  Once an
+    iterate repeats bit for bit, the rest of the budget is run out around
+    its orbit without further steps.
+
+    Returns (z, trace or None, steps counted, whether the last one stalled).
+    """
+    trace = None if score is None else [score(z)]
+    ran = 0
+    met = False
+    prev = None  # the iterate before z
+    while ran < T:
+        z_new = step(z)
+        ran += 1
+        met = bool(stalled(z_new, z))
+        period = _period(z_new, z, prev)
+        prev, z = z, z_new
+        if trace is not None:
+            trace.append(score(z))
+        if early_stop and met:
+            break
+        if period:
+            z = _run_out_orbit([prev, z][-period:], trace, T - ran)
+            ran = T
+    return z, trace, ran, met
+
+
 def default_iterations(n: int) -> int:
     """Default iteration budget ceil(3 ln n); enough for exact recovery
     with room to spare in the regimes where recovery is possible."""
@@ -249,31 +268,12 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
     mu = policy.resolve_mu(sigmas, L.m)
-    hard = math.isinf(mu)
+    stalled = np.array_equal if math.isinf(mu) else (
+        lambda new, cur: np.max(np.abs(new - cur)) <= _STALL_TOL)
     truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
-    trace = [] if truth_arr is not None else None
-    if trace is not None:
-        trace.append(mcr(labels_of(z), truth_arr, L.m))
-    ran = 0
-    met = False
-    prev = None  # the iterate before z
-    while ran < T:
-        w = L.matvec(z)
-        z_new = project_blockwise(w, mu)
-        ran += 1
-        if hard:
-            met = bool(np.array_equal(z_new, z))
-        else:
-            met = bool(np.max(np.abs(z_new - z)) <= _STALL_TOL)
-        period = _period(z_new, z, prev)
-        prev, z = z, z_new
-        if trace is not None:
-            trace.append(mcr(labels_of(z), truth_arr, L.m))
-        if early_stop and met:
-            break
-        if period:
-            z = _run_out_orbit([prev, z][-period:], trace, T - ran)
-            ran = T
+    score = None if truth_arr is None else (lambda z: mcr(labels_of(z), truth_arr, L.m))
+    z, trace, ran, met = _power_loop(z, lambda z: project_blockwise(L.matvec(z), mu),
+                                     stalled, T, early_stop, score)
     return SolveReport(
         estimate=labels_of(z),
         z=z,

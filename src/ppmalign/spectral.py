@@ -38,12 +38,8 @@ class LowRankFactor:
     iterations: int
 
     def column(self, c: int) -> np.ndarray:
-        """Column c of the reconstructed low-rank matrix."""
+        """Column c of the low-rank approximation U diag(S) V^T."""
         return self.U @ (self.S * self.V[c, :])
-
-    def reconstruct(self) -> np.ndarray:
-        """Dense U diag(S) V^T; only sensible at small sizes."""
-        return (self.U * self.S) @ self.V.T
 
 
 def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,

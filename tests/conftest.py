@@ -171,3 +171,44 @@ def full_budget_match_solve(obs, T, seed, truth=None):
         converged=met,
         mismatch_trace=None if trace is None else np.asarray(trace),
     )
+
+
+def project_simplex(v):
+    """Euclidean projection of one vector onto the probability simplex.
+
+    The sort-based one-vector algorithm; reference for the row-batched
+    ``simplex.project_rows``.
+    """
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    cond = u - (css - 1.0) / np.arange(1, v.size + 1) > 0
+    # the satisfying indices form a prefix; take the last one
+    rho = v.size - 1 - int(np.argmax(cond[::-1]))
+    return np.maximum(v - (css[rho] - 1.0) / (rho + 1), 0.0)
+
+
+def expected_matrix(n, m, p_obs, d) -> np.ndarray:
+    """Dense expectation of the log-likelihood input matrix.
+
+    Off-diagonal blocks are p_obs * K with K[a, b] = -KL(P0 || P_{a-b})
+    - H(P0); diagonal blocks are zero.
+    """
+    from ppmalign.likelihood import entropy, kl
+
+    kl_l = np.array([kl(d.p0, np.roll(d.p0, l)) for l in range(m)])
+    r = np.arange(m)
+    k = -kl_l[(r[:, None] - r[None, :]) % m] - entropy(d)
+    return np.kron(np.ones((n, n)) - np.eye(n), p_obs * k)
+
+
+def hellinger_sq(p, q) -> float:
+    """Squared Hellinger distance (1/2) sum (sqrt p - sqrt q)^2."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
+
+
+def total_variation(p, q) -> float:
+    """Total variation distance (1/2) sum |p - q|."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return float(0.5 * np.sum(np.abs(p - q)))

@@ -7,14 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_expansion
-from ppmalign.blockmat import (
-    FORMS,
-    CirculantBlockMatrix,
-    build,
-    expected_matrix,
-    separation,
-)
+from conftest import dense_expansion, expected_matrix
+from ppmalign.blockmat import FORMS, CirculantBlockMatrix, build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.likelihood import (
     NoiseDistribution,
@@ -288,10 +282,6 @@ class TestExpectedMatrix:
         E = expected_matrix(n, m, p_obs, d)
         assert np.all(np.abs(mean - E) <= 5.0 * sem + 1e-9)
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            expected_matrix(2049, 2, 1.0, random_corruption(0.5, 2))
-
 
 class TestSigmaAndSeparation:
     def test_noiseless_equal_labels_sigma(self):
@@ -313,25 +303,3 @@ class TestSigmaAndSeparation:
         L = CirculantBlockMatrix(4, 2, np.array([1]), np.array([0]),
                                  np.array([0]), np.zeros(2))
         assert np.all(orthogonal_iteration(L, r=1).S == 0.0)
-
-    def test_separation(self):
-        assert separation([3.0, 1.0, 2.5], 0) == 0.5
-        assert separation([3.0, 1.0, 2.5], 1) == -2.0
-        with pytest.raises(ValueError):
-            separation([1.0], 0)
-        with pytest.raises(ValueError):
-            separation([1.0, 2.0], 5)
-
-
-def test_dump_block_round_trip():
-    rng = np.random.default_rng(7)
-    L, _, _, _ = random_instance(rng, n=6, m=3)
-    text = L.dump_block(int(L.ii[0]), int(L.jj[0]))
-    lines = text.strip().splitlines()
-    assert lines[0] == "alpha,beta,value"
-    assert len(lines) == 1 + 9
-    vals = np.zeros((3, 3))
-    for ln in lines[1:]:
-        a, b, v = ln.split(",")
-        vals[int(a), int(b)] = float(v)
-    np.testing.assert_allclose(vals, L.block(int(L.ii[0]), int(L.jj[0])))

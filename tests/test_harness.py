@@ -19,7 +19,6 @@ from ppmalign.harness import (
     run_trial,
     sweep_csv,
     threshold_table,
-    with_overrides,
 )
 from ppmalign.likelihood import threshold_kl, threshold_random_corruption
 from ppmalign.solver import ScalingPolicy
@@ -51,6 +50,10 @@ class TestConfigText:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("bogus = 1\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 4: key 'n' already set on line 2"):
+            parse_config_text("# grid\nn = 20\nm = 2\nn = 30\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -97,7 +100,8 @@ class TestMuSpec:
         assert parse_mu_spec(" INF ") == ScalingPolicy.infinite()
 
     def test_errors(self):
-        for bad in ("huge", "x/sigma2", "10/sigma9"):
+        for bad in ("huge", "x/sigma2", "10/sigma9", "0/sigma2", "-1/sigmam", "nan/sigma2",
+                    "0", "-2"):
             with pytest.raises(ConfigError, match="mu"):
                 parse_mu_spec(bad)
 
@@ -114,6 +118,7 @@ class TestConfigValidation:
             ({"form": "onehot"}, "form"),
             ({"trials": 0}, "trials"),
             ({"T": -1}, "iters"),
+            ({"seed": -1}, "seed"),
             ({"varsigma": 1.0}, "varsigma"),
             ({"init_iters": 0}, "init_iters"),
             ({"init_tol": 0.0}, "init_tol"),
@@ -144,14 +149,6 @@ class TestConfigValidation:
         gauss = ExperimentConfig(model="modified_gaussian", m=5, param_grid=(1.0,))
         assert gauss.resolved_form == "loglik"
         assert ExperimentConfig(form="debiased-loglik").resolved_form == "debiased-loglik"
-
-    def test_with_overrides(self):
-        cfg = ExperimentConfig()
-        assert with_overrides(cfg, m=4, trials=None).m == 4
-        with pytest.raises(ConfigError, match="unknown"):
-            with_overrides(cfg, iterations=3)
-        with pytest.raises(ConfigError, match="trials"):
-            with_overrides(cfg, trials=0)
 
 
 class TestRuns:
@@ -311,6 +308,21 @@ class TestCli:
         res = cli("align", "--n", "30", "--p0", "0.5,0.5,0")
         assert res.returncode == 2 and "p0" in res.stderr
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+        dup = tmp_path / "dup.cfg"
+        dup.write_text("n = 20\nm = 2\nn = 30\n")
+        seed = tmp_path / "seed.cfg"
+        seed.write_text("n = 20\nseed = -1\n")
+        for argv in (["align", "--n", "30", "--mu=0/sigma2"],
+                     ["align", "--n", "30", "--mu=-1/sigma2"],
+                     ["align", "--n", "30", "--mu=nan/sigma2"],
+                     ["align", "--n", "30", "--seed", "-1"],
+                     ["align", "--config", str(seed)],
+                     ["sweep", "--config", str(dup)],
+                     ["match", "--n", "1", "--m", "3"]):
+            res = cli(*argv)
+            assert res.returncode == 2, argv
+            assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1, argv
 
         # an empty graph has sigma_2 = 0, so a sigma_2 scaling cannot be set
         for cmd in ("align", "sweep"):

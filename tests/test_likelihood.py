@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_pair_sample_observations
+from conftest import hellinger_sq, per_pair_sample_observations, total_variation
+from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.likelihood import (
     NoiseDistribution,
@@ -15,20 +16,15 @@ from ppmalign.likelihood import (
     _observed_pairs,
     _pair_of_rank,
     entropy,
-    hellinger_sq,
     kl,
     kl_min_max,
-    loglik_block,
-    loglik_first_col,
     modified_gaussian,
     random_corruption,
     regularize,
     regularize_observations,
     sample_observations,
-    shift_distribution,
     threshold_kl,
     threshold_random_corruption,
-    total_variation,
 )
 
 
@@ -74,20 +70,12 @@ class TestDistributions:
         d = NoiseDistribution(np.array([0.2, 0.5, 0.3]))
         assert not d.symmetric and d.m == 3 and d.min_mass == 0.2
 
-    def test_shift_distribution(self):
-        d = NoiseDistribution(np.array([0.5, 0.3, 0.2]))
-        s = shift_distribution(d, 1)
-        # P_l(y) = P0(y - l mod m)
-        for y in range(3):
-            assert s.p0[y] == d.p0[(y - 1) % 3]
-        np.testing.assert_allclose(shift_distribution(d, 3).p0, d.p0)
-
     def test_regularize(self):
         d = random_corruption(1.0, 4)  # degenerate: all mass on 0
         r = regularize(d, 0.01)
         assert r.min_mass >= 0.01 / 4 - 1e-15
         np.testing.assert_allclose(r.p0.sum(), 1.0, atol=1e-12)
-        assert total_variation(d, r) <= 0.01 + 1e-12
+        assert total_variation(d.p0, r.p0) <= 0.01 + 1e-12
         with pytest.raises(ValueError):
             regularize(d, 0.0)
 
@@ -197,19 +185,22 @@ class TestThresholds:
 class TestLoglikBlock:
     def test_entries_and_circulant_structure(self):
         d = NoiseDistribution(np.array([0.5, 0.3, 0.2]))
-        for y in range(3):
-            blk = loglik_block(d, y)
+        obs = sample_observations(np.array([1, 2, 3, 1]), d, 1.0, seed=0)
+        L = build(obs, d, "loglik")
+        for e in range(obs.n_edges):
+            i, j, y = int(obs.i[e]), int(obs.j[e]), int(obs.y[e])
+            blk = L.block(i, j)
             for a in range(3):
                 for b in range(3):
                     assert blk[a, b] == math.log(d.p0[(y - a + b) % 3])
-            # circulant: constant along residue diagonals
-            col = loglik_first_col(d, y)
-            np.testing.assert_allclose(blk[:, 0], col)
+            # circulant: the stored first column generates the block
+            np.testing.assert_array_equal(blk[:, 0], L.cols[e])
 
     def test_zero_mass_raises_with_residue(self):
         d = random_corruption(1.0, 3)  # zero mass off 0
+        obs = sample_observations(np.array([1, 2, 3]), d, 1.0, seed=0)
         with pytest.raises(RegularizationRequiredError) as exc:
-            loglik_block(d, 1)
+            build(obs, d, "loglik")
         assert exc.value.residue in (1, 2)
 
 
@@ -232,12 +223,16 @@ class TestObservations:
             assert obs.y[e] == (x[i] - x[j]) % 3
 
     def test_mirror_convention(self):
+        # the mirrored reading is y_ji = (m - y_ij) mod m: the agreement
+        # block (j, i) marks a - b = -y_ij where block (i, j) marks y_ij
         x = np.array([1, 2, 4, 3])
         obs = sample_observations(x, random_corruption(0.5, 4), 1.0, seed=3)
+        L = build(obs, None, "agreement")
+        a, b = np.indices((4, 4))
         for e in range(obs.n_edges):
             i, j = int(obs.i[e]), int(obs.j[e])
-            assert obs.value(i, j) == obs.y[e]
-            assert obs.value(j, i) == (4 - obs.y[e]) % 4
+            np.testing.assert_array_equal(L.block(i, j), (a - b) % 4 == obs.y[e])
+            np.testing.assert_array_equal(L.block(j, i), (a - b) % 4 == (4 - obs.y[e]) % 4)
 
     def test_sampling_rate(self):
         x = np.ones(60, dtype=int)

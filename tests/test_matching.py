@@ -224,6 +224,11 @@ class TestObservations:
         noisy, t1 = sample_match_observations(14, 4, 1.0, seed=6)
         assert input_mismatch_rate(noisy, t1) > 0.5
 
+    def test_input_mismatch_needs_pairs(self):
+        lone, t = sample_match_observations(1, 3, 0.0, seed=8)
+        with pytest.raises(ValueError, match="no observed pairs"):
+            input_mismatch_rate(lone, t)
+
     def test_block_accessor_mirrors(self):
         obs, _ = sample_match_observations(6, 3, 0.4, seed=7)
         np.testing.assert_array_equal(obs.block(0, 4), obs.block(4, 0).T)

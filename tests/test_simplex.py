@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ppmalign.simplex import (
-    is_feasible,
-    project_blockwise,
-    project_rows,
-    project_simplex,
-    round_rows,
-    round_to_vertex,
-)
+from conftest import project_simplex
+from ppmalign.simplex import project_blockwise, project_rows, round_rows
 
 
 def qp_projection(v):
@@ -31,10 +25,15 @@ def qp_projection(v):
     return res.x
 
 
+def project_one(v):
+    """project_rows on a single block."""
+    return project_rows(np.asarray(v, dtype=float)[None, :])[0]
+
+
 class TestProjectSimplex:
     def test_worked_example(self):
         # all entries stay positive, so mass is spread evenly: v + (1 - sum)/3
-        got = project_simplex([0.5, 0.2, 0.1])
+        got = project_one([0.5, 0.2, 0.1])
         want = np.array([0.5, 0.2, 0.1]) + 0.2 / 3.0
         np.testing.assert_allclose(got, want, atol=1e-12)
         np.testing.assert_allclose(got, qp_projection([0.5, 0.2, 0.1]), atol=1e-7)
@@ -44,31 +43,29 @@ class TestProjectSimplex:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 9))
         v = rng.standard_normal(m) * rng.uniform(0.1, 5.0)
-        np.testing.assert_allclose(project_simplex(v), qp_projection(v), atol=1e-6)
+        np.testing.assert_allclose(project_one(v), qp_projection(v), atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_idempotent_and_feasible(self, seed):
         rng = np.random.default_rng(100 + seed)
         v = rng.standard_normal(int(rng.integers(2, 33))) * 3.0
-        p = project_simplex(v)
-        assert is_feasible(p)
-        np.testing.assert_allclose(project_simplex(p), p, atol=1e-12)
+        p = project_one(v)
+        assert abs(p.sum() - 1.0) <= 1e-9 and p.min() >= 0.0
+        np.testing.assert_allclose(project_one(p), p, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             v = rng.standard_normal(6)
             delta = rng.uniform(-10, 10)
-            np.testing.assert_allclose(
-                project_simplex(v + delta), project_simplex(v), atol=1e-9
-            )
+            np.testing.assert_allclose(project_one(v + delta), project_one(v), atol=1e-9)
 
     def test_projection_is_closest_feasible_point(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             m = int(rng.integers(2, 10))
             v = rng.standard_normal(m) * 2.0
-            p = project_simplex(v)
+            p = project_one(v)
             # random feasible competitors never land strictly closer
             s = rng.dirichlet(np.ones(m), size=1000)
             d_p = np.sum((p - v) ** 2)
@@ -76,21 +73,21 @@ class TestProjectSimplex:
             assert np.all(d_s >= d_p - 1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            project_simplex([1.0, np.nan])
-        with pytest.raises(ValueError):
-            project_simplex([1.0, np.inf])
-        with pytest.raises(ValueError):
-            project_simplex([])
-        with pytest.raises(ValueError):
-            project_simplex(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            project_rows([[1.0, np.nan]])
+        with pytest.raises(ValueError, match="non-finite"):
+            project_rows([[1.0, np.inf]])
+        with pytest.raises(ValueError, match="array of blocks"):
+            project_rows([1.0, 2.0])
+        with pytest.raises(ValueError, match="array of blocks"):
+            project_rows(np.ones((2, 2, 2)))
 
 
 class TestRounding:
     def test_vertex_and_tie_break(self):
-        np.testing.assert_array_equal(round_to_vertex([0.2, 0.5, 0.3]), [0, 1, 0])
+        np.testing.assert_array_equal(round_rows([[0.2, 0.5, 0.3]]), [[0, 1, 0]])
         # exact tie goes to the smallest index
-        np.testing.assert_array_equal(round_to_vertex([0.4, 0.4, 0.2]), [1, 0, 0])
+        np.testing.assert_array_equal(round_rows([[0.4, 0.4, 0.2]]), [[1, 0, 0]])
 
     def test_large_mu_projection_equals_rounding(self):
         # once mu clears 1/(top gap), the projection lands exactly on the vertex
@@ -103,13 +100,13 @@ class TestRounding:
             if gap < 1e-9:
                 continue
             mu = 2.0 / gap
-            np.testing.assert_array_equal(project_simplex(mu * v), round_to_vertex(v))
+            np.testing.assert_array_equal(project_blockwise(v[None, :], mu),
+                                          round_rows(v[None, :]))
 
     def test_small_mu_keeps_mass_spread(self):
         # mu below 1/gap cannot concentrate everything on one vertex
-        v = np.array([0.6, 0.4])
-        p = project_simplex(0.5 * v)  # 1/gap = 5
-        assert p[1] > 0
+        p = project_blockwise(np.array([[0.6, 0.4]]), 0.5)  # 1/gap = 5
+        assert p[0, 1] > 0
 
 
 class TestBlockwise:

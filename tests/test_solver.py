@@ -14,7 +14,6 @@ from ppmalign.solver import (
     ScalingPolicy,
     check_contraction,
     default_iterations,
-    dist_mod_shift,
     labels_of,
     lift,
     mcr,
@@ -62,19 +61,17 @@ class TestMetrics:
         with pytest.raises(ValueError):
             mcr([], [], 3)
 
-    def test_dist_mod_shift_worked_example(self):
-        # one mismatching vertex: squared distance 2, no shift does better
-        a = np.array([1, 1, 2, 3, 1])
-        b = np.array([1, 1, 2, 3, 2])
-        assert dist_mod_shift(lift(b, 3), a, 3) == pytest.approx(math.sqrt(2.0))
-
     def test_dist_equals_sqrt_2n_mcr_on_vertices(self):
+        # two one-hot iterates differ by sqrt(2) per mismatched block, so the
+        # distance minimized over shifts is sqrt(2 n mcr)
         rng = np.random.default_rng(1)
         for _ in range(20):
             a = rng.integers(1, 4, 40)
             b = rng.integers(1, 4, 40)
             want = math.sqrt(2.0 * 40 * mcr(b, a, 3))
-            assert dist_mod_shift(lift(b, 3), a, 3) == pytest.approx(want)
+            dist = min(np.linalg.norm(lift(b, 3) - lift(shift_labels(a, l, 3), 3))
+                       for l in range(3))
+            assert dist == pytest.approx(want)
 
     def test_lift_round_trip(self):
         labels = np.array([3, 1, 2, 2])

@@ -61,7 +61,7 @@ class TestOrthogonalIteration:
         r = 4
         opt = np.linalg.norm(dense - (u[:, :r] * s[:r]) @ vt[:r], "fro")
         fac = orthogonal_iteration(L, r=r, seed=5, max_iters=500)
-        mine = np.linalg.norm(dense - fac.reconstruct(), "fro")
+        mine = np.linalg.norm(dense - (fac.U * fac.S) @ fac.V.T, "fro")
         assert mine <= opt * (1.0 + 1e-5)
         assert mine >= opt * (1.0 - 1e-12)
 
@@ -103,7 +103,7 @@ class TestOrthogonalIteration:
         a = np.diag([-5.0, 3.0, 1.0])
         fac = orthogonal_iteration(DenseOp(a), r=2, seed=2)
         np.testing.assert_allclose(fac.S, [5.0, 3.0], atol=1e-8)
-        np.testing.assert_allclose(fac.reconstruct(), np.diag([-5.0, 3.0, 0.0]),
+        np.testing.assert_allclose((fac.U * fac.S) @ fac.V.T, np.diag([-5.0, 3.0, 0.0]),
                                    atol=1e-7)
 
 
