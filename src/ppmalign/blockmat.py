@@ -141,11 +141,14 @@ class CirculantBlockMatrix:
         if single:
             zb = zb[:, :, None]
         n, m, r = zb.shape
-        acc = np.zeros((2 * n, m * r))
+        # labels last, so that the circulant step is two 2-D products rather
+        # than n stacked ones; both transposes are free at r = 1
+        zt = np.ascontiguousarray(zb.transpose(0, 2, 1))
+        acc = np.zeros((2 * n, r * m))
         for s, adj in enumerate(self._adj):
-            acc += adj @ np.roll(zb, s, axis=1).reshape(n, m * r)
-        acc = acc.reshape(2, n, m, r)
-        out = self._g @ acc[0] + self._g.T @ acc[1]
+            acc += adj @ np.roll(zt, s, axis=2).reshape(n, r * m)
+        acc = acc.reshape(2, n * r, m)
+        out = (acc[0] @ self._g.T + acc[1] @ self._g).reshape(n, r, m).transpose(0, 2, 1)
         return out[:, :, 0] if single else out
 
     def matvec(self, z):

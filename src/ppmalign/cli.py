@@ -147,8 +147,16 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with one ``error:`` line, as a bad config does;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppmalign",
         description="joint discrete alignment from noisy pairwise differences",
     )

@@ -319,7 +319,10 @@ class TestCli:
                      ["align", "--n", "30", "--seed", "-1"],
                      ["align", "--config", str(seed)],
                      ["sweep", "--config", str(dup)],
-                     ["match", "--n", "1", "--m", "3"]):
+                     ["match", "--n", "1", "--m", "3"],
+                     ["align", "--n", "30", "--m", "x"],
+                     ["sweep", "--n", "30", "--trials", "x"],
+                     ["align", "--n", "30", "--mu", "-1/sigma2"]):
             res = cli(*argv)
             assert res.returncode == 2, argv
             assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1, argv

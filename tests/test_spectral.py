@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_expansion, dense_match_expansion
-from ppmalign.blockmat import build
+from ppmalign.blockmat import CirculantBlockMatrix, build
 from ppmalign.likelihood import NoiseDistribution, random_corruption, sample_observations
 from ppmalign.matching import DenseBlockMatrix, sample_match_observations
 from ppmalign.solver import labels_of, mcr
@@ -25,6 +25,31 @@ class DenseOp:
 
     def matmat(self, x):
         return self.a @ x
+
+
+class Counting:
+    """Wraps an operator and counts the columns its products see."""
+
+    def __init__(self, op):
+        self.op = op
+        self.cols = 0
+
+    def __getattr__(self, name):  # shape, and rotate where the operator has it
+        return getattr(self.op, name)
+
+    def matmat(self, x):
+        self.cols += x.shape[1]
+        return self.op.matmat(x)
+
+
+def with_spectrum(lam, seed):
+    """Dense symmetric matrix with eigenvalues lam in a random basis."""
+    lam = np.asarray(lam, dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size, lam.size)))
+    return (q * lam) @ q.T
+
+
+CLUSTERED = np.diag(np.r_[1.0, 0.999, 0.998, np.linspace(0.1, 0.99, 200)])
 
 
 def recovery_instance(n, m, pi0, seed):
@@ -87,15 +112,73 @@ class TestOrthogonalIteration:
     def test_early_stop_returns_rank_r_factor(self):
         # a cluster of top eigenvalues 1e-3 apart cannot meet 1e-8 within
         # one Lanczos restart; the factor still has rank r and says so
-        a = np.diag(np.r_[1.0, 0.999, 0.998, np.linspace(0.1, 0.99, 200)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fac = orthogonal_iteration(DenseOp(a), r=3, max_iters=1, seed=1)
+            fac = orthogonal_iteration(DenseOp(CLUSTERED), r=3, max_iters=1, seed=1)
         assert fac.U.shape == (203, 3) and fac.S.shape == (3,)
         np.testing.assert_allclose(fac.U.T @ fac.U, np.eye(3), atol=1e-12)
         assert not fac.converged
         assert fac.residual > 0
         assert fac.iterations > 3
+
+    def test_clustered_top_converges_after_restarts(self):
+        # one fill and one thick restart fall short; the default cap does not
+        assert not orthogonal_iteration(DenseOp(CLUSTERED), r=3, max_iters=2, seed=1).converged
+        fac = orthogonal_iteration(DenseOp(CLUSTERED), r=3, seed=1)
+        assert fac.converged
+        np.testing.assert_allclose(fac.S, [1.0, 0.999, 0.998], rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-8])
+    @pytest.mark.parametrize("cap", [1, 200])
+    def test_reported_residual_recomputed(self, tol, cap):
+        # residual is max_k ||L u_k - theta_k u_k|| / |theta_1| through the
+        # operator, and converged says whether it meets tol
+        L, _ = recovery_instance(40, 3, 0.6, seed=0)
+        for op in (DenseOp(CLUSTERED), L):
+            fac = orthogonal_iteration(op, r=3, max_iters=cap, tol=tol, seed=1)
+            theta = fac.S * np.sign(np.sum(fac.V * fac.U, axis=0))
+            want = (np.linalg.norm(op.matmat(fac.U) - fac.U * theta, axis=0).max()
+                    / fac.S[0])
+            assert fac.residual == pytest.approx(want, rel=1e-6, abs=1e-14)
+            assert fac.converged == (fac.residual <= tol)
+
+    def test_iterations_count_operator_columns(self):
+        L, _ = recovery_instance(40, 3, 0.6, seed=0)
+        for op, cap in ((DenseOp(CLUSTERED), 1), (DenseOp(CLUSTERED), 200), (L, 200)):
+            counted = Counting(op)
+            fac = orthogonal_iteration(counted, r=3, max_iters=cap, seed=1)
+            assert fac.iterations == counted.cols
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_below_r(self, rank):
+        # the Krylov space runs out after rank + 1 columns; the basis goes on
+        # from fresh vectors, and the first fill already meets tol: 20
+        # columns, 5 for the Ritz step and 8 for one look
+        a = with_spectrum(np.r_[[4.0, -2.0, 1.0][:rank], np.zeros(30 - rank)], seed=rank)
+        assert_matches_eigh(DenseOp(a), a, 5, seed=rank)
+        assert orthogonal_iteration(DenseOp(a), r=5, seed=rank).iterations <= 20 + 5 + 8
+
+    @pytest.mark.parametrize("r", [9, 10, 12])
+    def test_block_repeated_more_than_look_basis(self, r):
+        # nine copies of one block: each eigenvalue of the block has nine
+        # copies, more than the 8 vectors of the look's basis
+        a = np.kron(np.eye(9), with_spectrum([5.0, 2.0, -1.0], seed=r))
+        a = np.block([[a, np.zeros((27, 2))], [np.zeros((2, 27)), np.diag([4.5, 0.5])]])
+        assert_matches_eigh(DenseOp(a), a, r, seed=r)
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_rank_n_minus_1_and_n(self, r):
+        # the basis is the whole space, reached through a breakdown since
+        # the Krylov space of a repeated spectrum is smaller
+        a = with_spectrum([3.0, 3.0, -2.0, -2.0, 1.0, 0.0, 0.0], seed=r)
+        assert_matches_eigh(DenseOp(a), a, r, seed=r)
+
+    def test_empty_graph(self):
+        L = CirculantBlockMatrix(5, 3, [], [], [], np.log([0.5, 0.3, 0.2]))
+        fac = orthogonal_iteration(L, r=3, seed=0)
+        np.testing.assert_array_equal(fac.S, np.zeros(3))
+        np.testing.assert_allclose(fac.U.T @ fac.U, np.eye(3), atol=1e-12)
+        assert fac.converged and fac.residual == 0.0
 
     def test_signed_spectrum(self):
         # magnitudes govern: a large negative eigenvalue outranks smaller
