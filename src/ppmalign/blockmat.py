@@ -36,9 +36,10 @@ def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
     """The m (2n, n) CSR adjacencies of the factored product, one per shift.
 
     Entry (i, j) of adjacency y[e] and entry (n + j, i) of adjacency
-    (-y[e]) mod m count the pair e.  Sorting one int64 key per entry by
-    (shift, row, column) in place gives the arrays a COO-to-CSR conversion
-    would, in canonical order with repeats summed, without its temporaries.
+    (-y[e]) mod m count the pair e.  The pairs are distinct, so sorting one
+    int64 key per entry by (shift, row, column) in place gives the arrays
+    a COO-to-CSR conversion would, in canonical order, without its
+    temporaries.
     """
     e = ii.size
     key = np.empty(2 * e, dtype=np.int64)
@@ -55,9 +56,6 @@ def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
     back *= n
     back += ii
     key.sort()
-    counts = None
-    if e and np.any(key[1:] == key[:-1]):
-        key, counts = np.unique(key, return_counts=True)
     index_dtype = np.int32 if max(n, key.size) < 2**31 else np.int64
     indices = np.empty(key.size, dtype=index_dtype)
     np.remainder(key, n, out=indices, casting="unsafe")
@@ -70,8 +68,7 @@ def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
         ptr = indptr[s * 2 * n:(s + 1) * 2 * n + 1]
         lo, hi = ptr[0], ptr[-1]
         # own copies: scipy would copy a slice under half its base anyway
-        data = np.ones(hi - lo) if counts is None else counts[lo:hi].astype(float)
-        adj.append(sp.csr_matrix((data, indices[lo:hi].copy(), ptr - lo),
+        adj.append(sp.csr_matrix((np.ones(hi - lo), indices[lo:hi].copy(), ptr - lo),
                                  shape=(2 * n, n)))
     return adj
 
@@ -81,46 +78,30 @@ class CirculantBlockMatrix:
 
     Parameters
     ----------
-    n, m : int
-        Number of items and labels; the operator is (n m, n m).
-    ii, jj : ndarray of int
-        Endpoints of the stored pairs, elementwise ii > jj.
-    y : ndarray of int
-        Residue of each stored pair, in 0..m-1.
+    obs : PairwiseObservations
+        The validated edge list: n items, m labels, and the stored pairs
+        ii > jj (``obs.i``, ``obs.j``) with residues y; the operator is
+        (n m, n m).
     h : ndarray, shape (m,)
         Generator: block (ii[e], jj[e]) has entries h((y[e] - a + b) mod m)
         and its mirror (jj[e], ii[e]) is the transpose.
-    debiased : bool
-        True when h has had its mean subtracted, so every block sums to 0.
     """
 
-    def __init__(self, n, m, ii, jj, y, h, debiased=False):
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
+    def __init__(self, obs: PairwiseObservations, h):
         h = np.asarray(h, dtype=float)
-        if ii.shape != jj.shape or y.shape != ii.shape or ii.ndim != 1:
-            raise ValueError("edge arrays and residues must be aligned")
-        if h.shape != (m,):
-            raise ValueError(f"generator must have shape ({m},), got {h.shape}")
-        if ii.size and not np.all(ii > jj):
-            raise ValueError("blocks must be stored with i > j")
-        if ii.size and (ii.max() >= n or jj.min() < 0):
-            raise ValueError("block indices out of range")
-        if y.size and (y.min() < 0 or y.max() >= m):
-            raise ValueError("residues out of range")
-        self.n = int(n)
-        self.m = int(m)
-        self.ii = ii
-        self.jj = jj
-        self.y = y
+        if h.shape != (obs.m,):
+            raise ValueError(f"generator must have shape ({obs.m},), got {h.shape}")
+        self.n = obs.n
+        self.m = obs.m
+        self.ii = obs.i
+        self.jj = obs.j
+        self.y = obs.y
         self.h = h
-        self.debiased = bool(debiased)
         # L_ij z_j = G roll(z_j, y_ij) and L_ji z_i = G^T roll(z_i, -y_ij), so
         # adjacency s gathers, into rows 0..n-1 (stored orientation) and
         # n..2n-1 (mirrored), every neighbour whose block needs shift s
-        self._g = h[_circ_index(m).T]
-        self._adj = _shift_adjacencies(self.n, self.m, ii, jj, y)
+        self._g = h[_circ_index(self.m).T]
+        self._adj = _shift_adjacencies(self.n, self.m, self.ii, self.jj, self.y)
 
     @property
     def shape(self):
@@ -207,7 +188,7 @@ def build(obs: PairwiseObservations, d: NoiseDistribution | None = None,
     if form == "agreement":
         h = np.zeros(m)
         h[0] = 1.0
-        return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, obs.y, h)
+        return CirculantBlockMatrix(obs, h)
     if d is None:
         raise ValueError("likelihood forms need a noise distribution")
     if d.m != m:
@@ -217,5 +198,4 @@ def build(obs: PairwiseObservations, d: NoiseDistribution | None = None,
     h = np.log(d.p0)
     if form == "debiased-loglik":
         h = h - h.mean()
-    return CirculantBlockMatrix(obs.n, m, obs.i, obs.j, obs.y, h,
-                                debiased=(form == "debiased-loglik"))
+    return CirculantBlockMatrix(obs, h)

@@ -31,66 +31,61 @@ from .matching import MatchObservations, input_mismatch_rate, match_solve, sampl
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out_path!r}: {exc}") from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
+    # values stay strings: the config key table parses flags and file alike
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", help="master seed")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--model", choices=("random_corruption", "modified_gaussian", "custom_p0"))
     p.add_argument("--n", help="number of items" + (", comma list allowed" if sweep else ""))
-    p.add_argument("--m", type=int, help="number of labels")
-    p.add_argument("--pobs", type=float, help="pair observation probability")
+    p.add_argument("--m", help="number of labels")
+    p.add_argument("--pobs", help="pair observation probability")
     p.add_argument("--pi0", help="non-corruption rate(s) for random_corruption")
     p.add_argument("--sigma", help="noise width(s) for modified_gaussian")
     p.add_argument("--p0", help="comma pmf for model custom_p0")
     p.add_argument("--mu", help="scaling policy: inf, c/sigma2, c/sigmam, or a number")
     p.add_argument("--form", choices=FORMS)
-    p.add_argument("--iters", type=int, help="iteration budget (default: ceil(3 ln n))")
+    p.add_argument("--iters", help="iteration budget (default: ceil(3 ln n))")
     if sweep:
-        p.add_argument("--trials", type=int, help="trials per grid cell")
+        p.add_argument("--trials", help="trials per grid cell")
 
 
-def _config_mapping(args: argparse.Namespace, sweep: bool) -> dict[str, str]:
+# config keys that a flag of the same name sets; --pi0 and --sigma set "param"
+_FLAG_KEYS = ("model", "n", "m", "pobs", "p0", "mu", "form", "iters", "seed", "out", "trials")
+
+
+def _config_mapping(args: argparse.Namespace) -> dict[str, str]:
     mapping: dict[str, str] = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 mapping = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from None
     if args.pi0 is not None and args.sigma is not None:
         raise ConfigError("give either --pi0 or --sigma, not both")
-    overrides = {
-        "model": args.model,
-        "n": args.n,
-        "m": None if args.m is None else str(args.m),
-        "pobs": None if args.pobs is None else repr(args.pobs),
-        "param": args.pi0 if args.pi0 is not None else args.sigma,
-        "p0": args.p0,
-        "mu": args.mu,
-        "form": args.form,
-        "iters": None if args.iters is None else str(args.iters),
-        "seed": None if args.seed is None else str(args.seed),
-        "out": args.out,
-    }
-    if sweep and args.trials is not None:
-        overrides["trials"] = str(args.trials)
+    overrides = {key: getattr(args, key, None) for key in _FLAG_KEYS}
+    overrides["param"] = args.pi0 if args.pi0 is not None else args.sigma
     mapping.update({k: v for k, v in overrides.items() if v is not None})
     return mapping
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    cfg, out = build_config(_config_mapping(args, sweep=False))
+    cfg, out = build_config(_config_mapping(args))
     _write_output(run_single(cfg, truth_echo=args.truth_echo), out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, out = build_config(_config_mapping(args, sweep=True))
+    cfg, out = build_config(_config_mapping(args))
     _write_output(sweep_csv(cfg), out)
     return 0
 

@@ -22,7 +22,6 @@ import numpy as np
 from .blockmat import FORMS, build
 from .exceptions import ConfigError
 from .likelihood import (
-    PROB_SUM_TOL,
     NoiseDistribution,
     modified_gaussian,
     random_corruption,
@@ -100,20 +99,19 @@ class ExperimentConfig:
             raise ConfigError(f"n: every grid value must be >= 2, got {self.n_grid}")
         if not self.param_grid:
             raise ConfigError("param: grid must be nonempty")
-        if self.model == "random_corruption":
-            if any(not 0.0 <= p <= 1.0 for p in self.param_grid):
-                raise ConfigError(f"param: pi0 values must lie in [0, 1], got {self.param_grid}")
-        elif self.model == "modified_gaussian":
-            if self.m % 2 == 0 or self.m < 3:
-                raise ConfigError(f"m: modified_gaussian needs odd m >= 3, got {self.m}")
-            if any(not p > 0 for p in self.param_grid):
-                raise ConfigError(f"param: sigma values must be positive, got {self.param_grid}")
-        else:
+        if self.model == "custom_p0":
             if self.custom_p0 is None:
                 raise ConfigError("p0: model custom_p0 needs an explicit pmf")
-            p = np.asarray(self.custom_p0, dtype=float)
-            if p.size != self.m or np.any(p < 0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
-                raise ConfigError("p0: must be a length-m pmf summing to 1")
+            if len(self.custom_p0) != self.m:
+                raise ConfigError(f"p0: must be a length-m pmf, got {len(self.custom_p0)} "
+                                  f"entries for m={self.m}")
+        # the noise model's own constructor is the one check of its parameters
+        key = "p0" if self.model == "custom_p0" else "param"
+        for param in self.param_grid:
+            try:
+                self.distribution(param)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         if not 0.0 < self.p_obs <= 1.0:
             raise ConfigError(f"pobs: must lie in (0, 1], got {self.p_obs}")
         if self.form is not None and self.form not in FORMS:

@@ -24,15 +24,8 @@ PROB_SUM_TOL = 1e-12
 
 
 def _probs(p):
-    """Coerce a NoiseDistribution or array_like to a validated pmf array."""
-    if isinstance(p, NoiseDistribution):
-        return p.p0
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("a distribution over Z_m needs a 1-d pmf with m >= 2")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError("pmf entries must be nonnegative and sum to 1")
-    return p
+    """The pmf array of a NoiseDistribution, or of array_like validated as one."""
+    return (p if isinstance(p, NoiseDistribution) else NoiseDistribution(p)).p0
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +45,8 @@ class NoiseDistribution:
             raise ValueError("pmf must be 1-d with m >= 2")
         if np.any(p < 0):
             raise ValueError("pmf entries must be nonnegative")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"pmf must sum to 1, got {p.sum()!r}")
+        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
+            raise ValueError(f"pmf must sum to 1, got {float(p.sum())!r}")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "p0", p)
@@ -90,9 +83,9 @@ def modified_gaussian(sigma: float, m: int) -> NoiseDistribution:
     values mod m, so the pmf is symmetric about 0.
     """
     if m < 3 or m % 2 == 0:
-        raise ValueError("modified Gaussian noise needs odd m >= 3")
+        raise ValueError(f"modified Gaussian noise needs odd m >= 3, got m={m}")
     if not sigma > 0:
-        raise ValueError("sigma must be positive")
+        raise ValueError(f"sigma must be positive, got {sigma}")
     half = (m - 1) // 2
     z = np.arange(-half, half + 1)
     w = np.exp(-(z.astype(float) ** 2) / (2.0 * sigma**2))
@@ -181,19 +174,12 @@ class PairwiseObservations:
     y: np.ndarray
 
     def __post_init__(self):
-        if not (self.i.shape == self.j.shape == self.y.shape):
-            raise ValueError("edge arrays must be aligned")
-        if self.i.size and not np.all(self.i > self.j):
-            raise ValueError("edges must be stored with i > j")
-        if self.i.size and (self.i.max() >= self.n or self.j.min() < 0):
-            raise ValueError("edge endpoints out of range")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.m):
+        i, j, y = _edge_list(self.n, self.i, self.j, self.y)
+        if y.size and (y.min() < 0 or y.max() >= self.m):
             raise ValueError("residues out of range")
-        # the sampler emits pairs sorted by (j, i), so the linear check
-        # settles the common case and the sort only runs on other inputs
-        key = self.j.astype(np.int64) * self.n + self.i
-        if np.any(np.diff(key) <= 0) and np.unique(key).size != key.size:
-            raise ValueError("duplicate pair in observations")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "y", y)
 
     @property
     def n_edges(self) -> int:
@@ -208,13 +194,64 @@ class PairwiseObservations:
 
     @classmethod
     def from_csv(cls, text: str, n: int, m: int, p_obs: float = float("nan")):
-        rows = [ln for ln in text.strip().splitlines() if ln]
-        if not rows or rows[0].strip() != "i,j,y":
-            raise ValueError("expected header 'i,j,y'")
-        data = np.array(
-            [[int(f) for f in ln.split(",")] for ln in rows[1:]], dtype=np.int64
-        ).reshape(-1, 3)
-        return cls(n=n, m=m, p_obs=p_obs, i=data[:, 0], j=data[:, 1], y=data[:, 2])
+        rows = _csv_records(text, "i,j,y", (int, int, int))
+        i, j, y = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        return cls(n=n, m=m, p_obs=p_obs, i=i, j=j, y=y)
+
+
+def _edge_list(n: int, *columns):
+    """Validate aligned edge columns i, j, ... and return them as int64.
+
+    Every column is a 1-d integer array (lists are accepted) of one length;
+    int64 input is not copied.  The first two columns are the endpoints of
+    unordered pairs, each stored once with i > j and both ends in 0..n-1.
+    The repeat test is linear when the pairs come sorted by (j, i), as both
+    samplers emit them, and only sorts other inputs.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+        raise ValueError("edge arrays must be aligned 1-d arrays")
+    if columns[0].size and any(c.dtype.kind not in "iu" for c in columns):
+        raise ValueError("edge arrays must hold integers")
+    i, j, *rest = (c.astype(np.int64, copy=False) for c in columns)
+    if i.size and not np.all(i > j):
+        raise ValueError("edges must be stored with i > j")
+    if i.size and (i.max() >= n or j.min() < 0):
+        raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    if not _rising(i, j):
+        order = np.lexsort((i, j))
+        if not _rising(i[order], j[order]):
+            raise ValueError("duplicate pair in observations")
+    return (i, j, *rest)
+
+
+def _rising(i, j) -> bool:
+    """Whether the pairs (j, i) rise strictly in lexicographic order."""
+    later, earlier = j[1:], j[:-1]
+    step = later > earlier
+    step |= (later == earlier) & (i[1:] > i[:-1])
+    return bool(step.all())
+
+
+def _csv_records(text: str, header: str, kinds) -> list:
+    """The records of a headed CSV text, field k converted by kinds[k].
+
+    Blank lines are skipped.  A missing header, a wrong field count or an
+    unconvertible field raises ValueError naming the line.
+    """
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != header:
+        raise ValueError(f"expected header {header!r}")
+    records = []
+    for lineno, ln in lines[1:]:
+        fields = ln.split(",")
+        try:
+            if len(fields) != len(kinds):
+                raise ValueError
+            records.append([kind(f) for kind, f in zip(kinds, fields)])
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected {header}, got {ln!r}") from None
+    return records
 
 
 def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> PairwiseObservations:

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
+from .likelihood import _csv_records, _edge_list
 from .solver import _power_loop
 from .spectral import orthogonal_iteration
 
@@ -189,16 +190,11 @@ class MatchObservations:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 items and m >= 1 features")
-        if self.ii.ndim != 1 or self.jj.shape != self.ii.shape:
-            raise ValueError("pair arrays must be aligned 1-d arrays")
-        if self.blocks.shape != (self.ii.size, self.m, self.m):
+        ii, jj = _edge_list(self.n, self.ii, self.jj)
+        if self.blocks.shape != (ii.size, self.m, self.m):
             raise ValueError("blocks must be (n_edges, m, m)")
-        if self.ii.size and not np.all(self.ii > self.jj):
-            raise ValueError("pairs must be stored with i > j")
-        if self.ii.size and (self.ii.max() >= self.n or self.jj.min() < 0):
-            raise ValueError(f"item indices must lie in 0..{self.n - 1}")
-        if np.unique(self.ii.astype(np.int64) * self.n + self.jj).size != self.ii.size:
-            raise ValueError("duplicate pair in observations")
+        object.__setattr__(self, "ii", ii)
+        object.__setattr__(self, "jj", jj)
         if not np.all(np.isfinite(self.blocks)):
             raise ValueError("block entries must be finite")
 
@@ -235,29 +231,16 @@ class MatchObservations:
         0..n-1, a feature index outside 0..m-1, a repeated (i, j, row, col)
         record or an incomplete block.
         """
-        rows = [ln for ln in text.strip().splitlines() if ln]
-        if not rows or rows[0].strip() != "i,j,row,col,value":
-            raise ValueError("expected header 'i,j,row,col,value'")
+        records = _csv_records(text, "i,j,row,col,value", (int, int, int, int, float))
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 items and m >= 1 features")
-        idx, vals = [], []
-        for lineno, ln in enumerate(rows[1:], start=2):
-            fields = ln.split(",")
-            try:
-                if len(fields) != 5:
-                    raise ValueError
-                idx.append([int(f) for f in fields[:4]])
-                vals.append(float(fields[4]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected i,j,row,col,value, "
-                                 f"got {ln!r}") from None
-        if not idx:
+        if not records:
             raise ValueError("no blocks found")
         if not all(0 <= i < n and 0 <= j < n and 0 <= a < m and 0 <= b < m
-                   for i, j, a, b in idx):
+                   for i, j, a, b, _ in records):
             raise ValueError(f"indices must lie in 0..{n - 1} (items) "
                              f"and 0..{m - 1} (features)")
-        i, j, a, b = np.array(idx, dtype=np.int64).T
+        i, j, a, b = np.array([r[:4] for r in records], dtype=np.int64).T
         pairs, which = np.unique(i * n + j, return_inverse=True)
         slot = (which * m + a) * m + b
         if np.unique(slot).size != slot.size:
@@ -265,7 +248,7 @@ class MatchObservations:
         if slot.size != pairs.size * m * m:
             raise ValueError(f"every observed pair needs all {m * m} block entries")
         blocks = np.empty(slot.size)
-        blocks[slot] = vals
+        blocks[slot] = [r[4] for r in records]
         return cls(n=n, m=m, ii=pairs // n, jj=pairs % n,
                    blocks=blocks.reshape(pairs.size, m, m))
 

@@ -313,7 +313,19 @@ class TestCli:
         dup.write_text("n = 20\nm = 2\nn = 30\n")
         seed = tmp_path / "seed.cfg"
         seed.write_text("n = 20\nseed = -1\n")
-        for argv in (["align", "--n", "30", "--mu=0/sigma2"],
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"n = 20\n# \xff\n")
+        nowhere = str(tmp_path / "missing" / "out.csv")
+        from ppmalign.matching import sample_match_observations
+
+        obs = tmp_path / "obs.csv"
+        obs.write_text(sample_match_observations(4, 2, 0.0, seed=5)[0].to_csv())
+        for argv in (["align", "--config", str(binary)],
+                     ["align", "--n", "20", "--pi0", "0.9", "--iters", "2", "--out", nowhere],
+                     ["match", "--obs", str(obs), "--n", "4", "--m", "2", "--out", nowhere],
+                     ["align", "--n", "30", "--pobs", "x"],
+                     ["align", "--n", "30", "--iters", "1.5"],
+                     ["align", "--n", "30", "--mu=0/sigma2"],
                      ["align", "--n", "30", "--mu=-1/sigma2"],
                      ["align", "--n", "30", "--mu=nan/sigma2"],
                      ["align", "--n", "30", "--seed", "-1"],

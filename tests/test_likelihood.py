@@ -1,5 +1,5 @@
 import math
-
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import hellinger_sq, per_pair_sample_observations, total_variation
 from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
+from ppmalign.matching import MatchObservations
 from ppmalign.likelihood import (
     NoiseDistribution,
     PairwiseObservations,
@@ -287,6 +288,85 @@ class TestObservations:
         assert 0.1 < changed < 0.3
         again = regularize_observations(obs, 0.25, seed=2)
         np.testing.assert_array_equal(reg.y, again.y)
+
+
+def pairwise(n, i, j):
+    return PairwiseObservations(n=n, m=2, p_obs=1.0, i=i, j=j, y=np.zeros(len(i), dtype=int))
+
+
+def matched(n, i, j):
+    return MatchObservations(n=n, m=2, ii=i, jj=j, blocks=np.zeros((len(i), 2, 2)))
+
+
+class TestEdgeList:
+    """One check of the edge list serves both observation types."""
+
+    @pytest.mark.parametrize("family", [pairwise, matched], ids=["pairwise", "match"])
+    @pytest.mark.parametrize("i, j, message", [
+        ([2, 1], [0], "edge arrays must be aligned 1-d arrays"),
+        (np.array([[2]]), np.array([[0]]), "edge arrays must be aligned 1-d arrays"),
+        ([1, 2], [2, 1], "edges must be stored with i > j"),
+        ([1], [1], "edges must be stored with i > j"),
+        ([3, 2], [0, 1], "edge endpoints must lie in 0..2"),
+        ([2], [-1], "edge endpoints must lie in 0..2"),
+        ([2, 2], [1, 1], "duplicate pair in observations"),
+        ([2, 1, 2], [0, 0, 0], "duplicate pair in observations"),
+        (np.array([2.0, 1.5]), np.array([0, 0]), "edge arrays must hold integers"),
+    ], ids=["misaligned", "2-d", "i<j", "i=j", "i>=n", "j<0", "repeat-sorted",
+            "repeat-unsorted", "float"])
+    def test_same_rejection_for_both_families(self, family, i, j, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            family(3, i, j)
+
+    @pytest.mark.parametrize("family", [pairwise, matched], ids=["pairwise", "match"])
+    def test_accepts_unsorted_distinct_pairs_and_lists(self, family):
+        obs = family(4, [2, 1, 3, 2], [1, 0, 0, 0])
+        edges = (obs.i, obs.j) if family is pairwise else (obs.ii, obs.jj)
+        for got, want in zip(edges, ([2, 1, 3, 2], [1, 0, 0, 0])):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert family(4, [], []).n_edges == 0
+
+    def test_int64_input_kept_and_narrow_input_widened(self):
+        i, j = np.array([2, 1]), np.array([0, 0], dtype=np.int32)
+        obs = PairwiseObservations(n=3, m=3, p_obs=1.0, i=i, j=j, y=np.array([1, 2]))
+        assert obs.i is i and obs.j.dtype == np.int64
+
+    @pytest.mark.parametrize("y", [[0, 2], [-1, 0]])
+    def test_residues_out_of_range_rejected(self, y):
+        with pytest.raises(ValueError, match="residues out of range"):
+            PairwiseObservations(n=3, m=2, p_obs=1.0, i=[2, 1], j=[0, 0], y=y)
+
+    def test_float_residues_rejected(self):
+        # they were truncated by the operator, y = [0.5, 2.7] acting as [0, 2]
+        with pytest.raises(ValueError, match="integers"):
+            PairwiseObservations(n=3, m=3, p_obs=1.0, i=np.array([2, 1]),
+                                 j=np.array([0, 0]), y=np.array([0.5, 2.7]))
+
+    def test_float_indices_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            PairwiseObservations(n=3, m=3, p_obs=1.0, i=np.array([2.0, 1.5]),
+                                 j=np.array([0.0, 0.0]), y=np.array([0, 1]))
+
+    def test_lists_accepted(self):
+        obs = PairwiseObservations(n=3, m=3, p_obs=1.0, i=[2, 1], j=[0, 0], y=[1, 2])
+        np.testing.assert_array_equal(build(obs).block(2, 0), build(obs).block(0, 2).T)
+        assert obs.y.dtype == np.int64
+
+    @pytest.mark.parametrize("text, line", [
+        ("i,j,y\n3,0\n1,4\n1,0\n", 2),  # loaded as two edges before
+        ("i,j,y\n3,0,1,1\n", 2),
+        ("i,j,y\n3,0,1\n\n2,x,0\n", 4),
+    ])
+    def test_csv_field_count_and_type_checked_per_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: expected i,j,y"):
+            PairwiseObservations.from_csv(text, n=5, m=2)
+
+    def test_csv_empty_edge_list_is_the_empty_graph(self):
+        obs = PairwiseObservations.from_csv("i,j,y\n", n=5, m=2)
+        assert obs.n_edges == 0 and obs.i.dtype == np.int64
+        with pytest.raises(ValueError, match="header"):
+            PairwiseObservations.from_csv("", n=5, m=2)
 
 
 class _FixedGaps:

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import dense_expansion, dense_match_expansion
 from ppmalign.blockmat import CirculantBlockMatrix, build
-from ppmalign.likelihood import NoiseDistribution, random_corruption, sample_observations
+from ppmalign.likelihood import (
+    NoiseDistribution,
+    PairwiseObservations,
+    random_corruption,
+    sample_observations,
+)
 from ppmalign.matching import DenseBlockMatrix, sample_match_observations
 from ppmalign.solver import labels_of, mcr
 from ppmalign.spectral import initial_guess, orthogonal_iteration
@@ -174,7 +179,8 @@ class TestOrthogonalIteration:
         assert_matches_eigh(DenseOp(a), a, r, seed=r)
 
     def test_empty_graph(self):
-        L = CirculantBlockMatrix(5, 3, [], [], [], np.log([0.5, 0.3, 0.2]))
+        obs = PairwiseObservations(n=5, m=3, p_obs=1.0, i=[], j=[], y=[])
+        L = CirculantBlockMatrix(obs, np.log([0.5, 0.3, 0.2]))
         fac = orthogonal_iteration(L, r=3, seed=0)
         np.testing.assert_array_equal(fac.S, np.zeros(3))
         np.testing.assert_allclose(fac.U.T @ fac.U, np.eye(3), atol=1e-12)
