@@ -25,8 +25,6 @@ from .harness import (
 from .likelihood import (
     NoiseDistribution,
     PairwiseObservations,
-    entropy,
-    kl,
     kl_min_max,
     modified_gaussian,
     random_corruption,
@@ -44,7 +42,6 @@ from .matching import (
     lap_project,
     match_solve,
     mismatch_rate,
-    perm_matrix,
     sample_match_observations,
 )
 from .simplex import project_blockwise
@@ -83,11 +80,9 @@ __all__ = [
     "build_config",
     "check_contraction",
     "default_iterations",
-    "entropy",
     "initial_guess",
     "input_mismatch_rate",
     "iterations_to_recovery",
-    "kl",
     "kl_min_max",
     "labels_of",
     "lap_project",
@@ -99,7 +94,6 @@ __all__ = [
     "orthogonal_iteration",
     "parse_config_text",
     "parse_mu_spec",
-    "perm_matrix",
     "project_blockwise",
     "random_corruption",
     "regularize",

@@ -97,9 +97,11 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         n_grid = tuple(int(s) for s in args.n.split(","))
     except ValueError:
         raise ConfigError(f"n: expected integers, got {args.n!r}") from None
-    if any(n < 2 for n in n_grid) or args.m < 2 or not 0 < args.pobs <= 1:
-        raise ConfigError("thresholds: need n >= 2, m >= 2, pobs in (0, 1]")
-    _write_output(threshold_table(n_grid, args.m, args.pobs), args.out)
+    try:
+        table = threshold_table(n_grid, args.m, args.pobs)
+    except ValueError as exc:
+        raise ConfigError(f"thresholds: {exc}") from None
+    _write_output(table, args.out)
     return 0
 
 
@@ -127,11 +129,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
     else:
         n = 50 if n is None else n
         m = 10 if args.m is None else args.m
-        if n < 2 or m < 1:
-            raise ConfigError(f"match: need n >= 2 and m >= 1, got n={n}, m={m}")
-        if not 0 <= args.corrupt <= 1:
-            raise ConfigError(f"corrupt: must lie in [0, 1], got {args.corrupt}")
-        obs, truth = sample_match_observations(n, m, args.corrupt, seed=args.seed)
+        try:
+            obs, truth = sample_match_observations(n, m, args.corrupt, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"match: {exc}") from None
         print(f"synthetic instance: input mismatch rate "
               f"{input_mismatch_rate(obs, truth):.4f}", file=sys.stderr)
     rep = match_solve(obs, T=iters, seed=args.seed, truth=truth)

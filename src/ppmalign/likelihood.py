@@ -16,28 +16,19 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
-
-
-def _probs(p):
-    """The pmf array of a NoiseDistribution, or of array_like validated as one."""
-    return (p if isinstance(p, NoiseDistribution) else NoiseDistribution(p)).p0
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseDistribution:
-    """A pmf P0 over residues {0, ..., m-1}.
-
-    ``symmetric`` means P0(y) = P0(m - y) for every y, which is what makes
-    the lifted input matrix symmetric; it is computed at construction.
-    """
+    """A pmf P0 over residues {0, ..., m-1}."""
 
     p0: np.ndarray
-    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.p0, dtype=float)
@@ -50,8 +41,6 @@ class NoiseDistribution:
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "p0", p)
-        sym = bool(np.allclose(p[1:], p[1:][::-1], rtol=0.0, atol=1e-12))
-        object.__setattr__(self, "symmetric", sym)
 
     @property
     def m(self) -> int:
@@ -105,35 +94,18 @@ def regularize(d: NoiseDistribution, varsigma: float = 0.01) -> NoiseDistributio
     return NoiseDistribution((1.0 - varsigma) * d.p0 + varsigma / d.m)
 
 
-def kl(p, q) -> float:
-    """KL divergence sum p log(p/q), natural log.
-
-    Terms with p = 0 contribute 0; if p > 0 somewhere q = 0 the divergence
-    is +inf (returned, not raised).
-    """
-    p, q = _probs(p), _probs(q)
-    if p.size != q.size:
-        raise ValueError("distributions must share the same support size")
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return math.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def entropy(d) -> float:
-    """Shannon entropy -sum p log p in nats (0 log 0 = 0)."""
-    p = _probs(d)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
-
-
 def kl_min_max(d: NoiseDistribution) -> tuple[float, float]:
     """Min and max of KL(P0 || P_l) over nonzero offsets l = 1, ..., m-1.
 
     The minimum is the effective signal strength of the model; recovery is
     possible roughly when it clears log(n)/(n p_obs) scaled by a constant.
     """
-    vals = [kl(d.p0, np.roll(d.p0, l)) for l in range(1, d.m)]
+    mask = d.p0 > 0
+    p = d.p0[mask]
+    vals = []
+    for l in range(1, d.m):
+        q = np.roll(d.p0, l)[mask]
+        vals.append(math.inf if np.any(q == 0) else float(np.sum(p * np.log(p / q))))
     return (min(vals), max(vals))
 
 
@@ -236,8 +208,9 @@ def _rising(i, j) -> bool:
 def _csv_records(text: str, header: str, kinds) -> list:
     """The records of a headed CSV text, field k converted by kinds[k].
 
-    Blank lines are skipped.  A missing header, a wrong field count or an
-    unconvertible field raises ValueError naming the line.
+    Blank lines are skipped.  A missing header, a wrong field count, an
+    unconvertible field or an integer beyond int64 raises ValueError naming
+    the line.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1].strip() != header:
@@ -248,7 +221,11 @@ def _csv_records(text: str, header: str, kinds) -> list:
         try:
             if len(fields) != len(kinds):
                 raise ValueError
-            records.append([kind(f) for kind, f in zip(kinds, fields)])
+            record = [kind(f) for kind, f in zip(kinds, fields)]
+            if any(kind is int and not _INT64.min <= v <= _INT64.max
+                   for kind, v in zip(kinds, record)):
+                raise ValueError
+            records.append(record)
         except ValueError:
             raise ValueError(f"line {lineno}: expected {header}, got {ln!r}") from None
     return records
@@ -276,10 +253,13 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     seed : int
         Seed for the pair selection and the noise draws.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     m = d.m
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least two items")
+    if x.dtype.kind not in "iu":
+        raise ValueError("labels must be integers")
+    x = x.astype(np.int64, copy=False)
     if np.any(x < 1) or np.any(x > m):
         raise ValueError(f"labels must lie in 1..{m}")
     if not 0 < p_obs <= 1:
@@ -303,7 +283,8 @@ def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
     geometric(p_obs) variables (Batagelj & Brandes, Phys. Rev. E 71, 2005).
     At p_obs = 1 the stream is advanced past the N = n(n-1)/2 uniforms
     that a per-pair mask draws; that is one 64-bit step per float64 for
-    the PCG64 generator ``default_rng`` makes.
+    the PCG64 generator ``default_rng`` makes.  The advance also drops a
+    32-bit half-word that earlier bounded draws may have left pending.
     """
     total = n * (n - 1) // 2
     if p_obs == 1:

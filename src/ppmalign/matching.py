@@ -21,20 +21,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from .likelihood import _csv_records, _edge_list
+from .likelihood import _csv_records, _edge_list, _observed_pairs
 from .solver import _power_loop
 from .spectral import orthogonal_iteration
 
 _LAP_TOL = 1e-9
-
-
-def perm_matrix(p) -> np.ndarray:
-    """Dense matrix of a permutation array: one 1 per row at column p[a]."""
-    p = np.asarray(p, dtype=np.int64)
-    m = p.size
-    out = np.zeros((m, m))
-    out[np.arange(m), p] = 1.0
-    return out
 
 
 def lap_project(score) -> np.ndarray:
@@ -191,26 +182,21 @@ class MatchObservations:
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 items and m >= 1 features")
         ii, jj = _edge_list(self.n, self.ii, self.jj)
-        if self.blocks.shape != (ii.size, self.m, self.m):
+        try:
+            blocks = np.asarray(self.blocks, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("blocks must be a numeric (n_edges, m, m) array") from None
+        if blocks.shape != (ii.size, self.m, self.m):
             raise ValueError("blocks must be (n_edges, m, m)")
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("block entries must be finite")
         object.__setattr__(self, "ii", ii)
         object.__setattr__(self, "jj", jj)
-        if not np.all(np.isfinite(self.blocks)):
-            raise ValueError("block entries must be finite")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_edges(self) -> int:
         return self.ii.size
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        if a == b:
-            raise KeyError("no self-pairs")
-        hi, lo = (a, b) if a > b else (b, a)
-        hits = np.flatnonzero((self.ii == hi) & (self.jj == lo))
-        if hits.size == 0:
-            raise KeyError(f"pair ({a}, {b}) not observed")
-        blk = self.blocks[hits[0]]
-        return blk if a > b else blk.T
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -293,25 +279,34 @@ def sample_match_observations(n: int, m: int, corrupt_rate: float, seed: int,
     independent uniformly random permutation matrix with probability
     corrupt_rate.
 
+    Pairs are drawn as in ``sample_observations``, in O(n + E) time and
+    memory for E observed pairs.
+
     Returns (MatchObservations, truth) where truth is an (n, m) array of
     permutation index arrays.
     """
     if not 0 <= corrupt_rate <= 1 or not 0 < p_obs <= 1:
         raise ValueError("rates must lie in [0, 1] (p_obs in (0, 1])")
+    if n < 2 or m < 1:
+        raise ValueError("need at least two items and m >= 1 features")
     rng = np.random.default_rng(seed)
-    truth = np.stack([rng.permutation(m) for _ in range(n)])
-    a, b = np.triu_indices(n, k=1)
-    keep = rng.random(a.size) < p_obs
-    a, b = a[keep], b[keep]
-    # row r of X_b X_a^T has its 1 where truth[a] takes the value truth[b][r]
-    inverse = np.argsort(truth, axis=1)
-    cols = np.take_along_axis(inverse[a], truth[b], axis=1)
-    for e in range(a.size):
-        if rng.random() < corrupt_rate:
-            cols[e] = rng.permutation(m)
+    truth = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
+    a, b = _observed_pairs(n, p_obs, rng)
+    cols = _consistent_cols(truth, b, a)
+    bad = rng.random(a.size) < corrupt_rate
+    cols[bad] = rng.permuted(np.tile(np.arange(m), (int(bad.sum()), 1)), axis=1)
     blocks = np.zeros((a.size, m, m))
     np.put_along_axis(blocks, cols[:, :, None], 1.0, axis=2)
     return MatchObservations(n=n, m=m, ii=b, jj=a, blocks=blocks), truth
+
+
+def _consistent_cols(truth, ii, jj) -> np.ndarray:
+    """Column of the 1 in each row of X_i X_j^T, for every pair (ii, jj).
+
+    Row r of X_i X_j^T has its 1 where truth[j] takes the value truth[i][r].
+    """
+    inverse = np.argsort(truth, axis=1)
+    return np.take_along_axis(inverse[jj], truth[ii], axis=1)
 
 
 def mismatch_rate(perms, truth) -> float:
@@ -338,13 +333,8 @@ def input_mismatch_rate(obs: MatchObservations, truth) -> float:
     """
     if obs.n_edges == 0:
         raise ValueError("no observed pairs to compare")
-    truth = np.asarray(truth, dtype=np.int64)
-    wrong = 0
-    for e in range(obs.n_edges):
-        ref = perm_matrix(truth[obs.ii[e]]) @ perm_matrix(truth[obs.jj[e]]).T
-        wrong += int(np.count_nonzero(
-            np.argmax(obs.blocks[e], axis=1) != np.argmax(ref, axis=1)
-        ))
+    ref = _consistent_cols(np.asarray(truth, dtype=np.int64), obs.ii, obs.jj)
+    wrong = int(np.count_nonzero(np.argmax(obs.blocks, axis=2) != ref))
     return wrong / (obs.n_edges * obs.m)
 
 

@@ -5,6 +5,8 @@ matvec: blocks are materialized with scipy's circulant constructor and
 placed entry by entry, so agreement between the two paths is meaningful.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -53,23 +55,59 @@ def per_pair_sample_observations(x, d, p_obs, seed):
     return PairwiseObservations(n=n, m=m, p_obs=p_obs, i=b, j=a, y=y)
 
 
+def perm_matrix(p) -> np.ndarray:
+    """Dense matrix of a permutation array: one 1 per row at column p[a]."""
+    p = np.asarray(p, dtype=np.int64)
+    m = p.size
+    out = np.zeros((m, m))
+    out[np.arange(m), p] = 1.0
+    return out
+
+
+def match_block(obs, a, b) -> np.ndarray:
+    """Block of the pair (a, b) of a matching instance, mirrored for a < b.
+
+    Raises KeyError for a self-pair or an unobserved pair.
+    """
+    if a == b:
+        raise KeyError("no self-pairs")
+    hi, lo = (a, b) if a > b else (b, a)
+    hits = np.flatnonzero((obs.ii == hi) & (obs.jj == lo))
+    if hits.size == 0:
+        raise KeyError(f"pair ({a}, {b}) not observed")
+    blk = obs.blocks[hits[0]]
+    return blk if a > b else blk.T
+
+
 def per_edge_sample_match_observations(n, m, corrupt_rate, seed, p_obs=1.0):
     """The per-edge matching sampler: each block built by dense products.
 
     Reference for ``matching.sample_match_observations``, which must
-    return the same truth and bit-identical blocks.
+    return the same truth and bit-identical blocks.  It draws from the
+    stream in the same order: the truth row by row, the pairs, one
+    corruption flag per pair, then one permutation per corrupted pair.  At
+    p_obs = 1 the pairs come from one uniform per pair, independently of
+    ``likelihood._observed_pairs``; below 1 they come from that sampler.
     """
-    from ppmalign.matching import MatchObservations, perm_matrix
+    from ppmalign.likelihood import _observed_pairs
+    from ppmalign.matching import MatchObservations
 
     rng = np.random.default_rng(seed)
     truth = np.stack([rng.permutation(m) for _ in range(n)])
-    a, b = np.triu_indices(n, k=1)
-    keep = rng.random(a.size) < p_obs
-    a, b = a[keep], b[keep]
+    if p_obs == 1:
+        a, b = np.triu_indices(n, k=1)
+        keep = rng.random(a.size) < p_obs
+        a, b = a[keep], b[keep]
+        # the package skips these uniforms with advance(), which also drops
+        # a 32-bit half-word left over from the permutations
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 0, "uinteger": 0}
+    else:
+        a, b = _observed_pairs(n, p_obs, rng)
+    corrupted = [rng.random() < corrupt_rate for _ in range(a.size)]
     blocks = np.empty((a.size, m, m))
     for e in range(a.size):
         hi, lo = b[e], a[e]
-        if rng.random() < corrupt_rate:
+        if corrupted[e]:
             blocks[e] = perm_matrix(rng.permutation(m))
         else:
             blocks[e] = perm_matrix(truth[hi]) @ perm_matrix(truth[lo]).T
@@ -83,8 +121,6 @@ def full_budget_solve(L, z0, policy, T, truth=None, sigmas=None, early_stop=True
     Reference for the short-circuited loop, whose reports must match this
     one field for field, bit for bit.
     """
-    import math
-
     from ppmalign.simplex import project_blockwise
     from ppmalign.solver import _STALL_TOL, SolveReport, labels_of, mcr
 
@@ -194,12 +230,32 @@ def expected_matrix(n, m, p_obs, d) -> np.ndarray:
     Off-diagonal blocks are p_obs * K with K[a, b] = -KL(P0 || P_{a-b})
     - H(P0); diagonal blocks are zero.
     """
-    from ppmalign.likelihood import entropy, kl
-
     kl_l = np.array([kl(d.p0, np.roll(d.p0, l)) for l in range(m)])
     r = np.arange(m)
-    k = -kl_l[(r[:, None] - r[None, :]) % m] - entropy(d)
+    k = -kl_l[(r[:, None] - r[None, :]) % m] - entropy(d.p0)
     return np.kron(np.ones((n, n)) - np.eye(n), p_obs * k)
+
+
+def kl(p, q) -> float:
+    """KL divergence sum p log(p/q), natural log.
+
+    Terms with p = 0 contribute 0; if p > 0 somewhere q = 0 the divergence
+    is +inf (returned, not raised).
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("distributions must share the same support size")
+    mask = p > 0
+    if np.any(q[mask] == 0):
+        return math.inf
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def entropy(p) -> float:
+    """Shannon entropy -sum p log p in nats (0 log 0 = 0)."""
+    p = np.asarray(p, dtype=float)
+    mask = p > 0
+    return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
 def hellinger_sq(p, q) -> float:

@@ -332,6 +332,11 @@ class TestCli:
                      ["align", "--config", str(seed)],
                      ["sweep", "--config", str(dup)],
                      ["match", "--n", "1", "--m", "3"],
+                     ["match", "--m", "-2"],
+                     ["match", "--corrupt", "1.5"],
+                     ["thresholds", "--n", "1"],
+                     ["thresholds", "--n", "100", "--m", "1"],
+                     ["thresholds", "--n", "100", "--pobs", "0"],
                      ["align", "--n", "30", "--m", "x"],
                      ["sweep", "--n", "30", "--trials", "x"],
                      ["align", "--n", "30", "--mu", "-1/sigma2"]):

@@ -120,3 +120,36 @@ def test_allows_scipy_sparse_and_numpy_linalg():
     src = ("import numpy as np\nimport scipy.sparse as sp\nfrom scipy.optimize import "
            "linear_sum_assignment\nnp.linalg.eigh\nsp.csr_matrix\n")
     assert scipy_linalg_uses(src) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+READERS = ([p for p in MODULES if p.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, as a bare name, an attribute or a part of a
+    dotted string constant (the bench names what it wraps by string)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return read
+
+
+def test_every_public_name_has_a_reader_outside_the_unit_tests():
+    # a name only unit tests read is an oracle; it belongs in tests/conftest.py
+    read = set().union(*(names_read(p.read_text()) for p in READERS))
+    assert sorted(set(ppmalign.__all__) - read) == []
+
+
+def test_names_read_sees_loads_attributes_and_dotted_strings():
+    src = ("from ppmalign import a\nb = 1\nc(ppmalign.d)\n"
+           "Wrap('x', 'ppmalign.matching.E', 'f')\n")
+    assert names_read(src) == {"c", "ppmalign", "d", "Wrap", "x", "matching", "E", "f"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hellinger_sq, per_pair_sample_observations, total_variation
+from conftest import entropy, hellinger_sq, kl, per_pair_sample_observations, total_variation
 from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.matching import MatchObservations
@@ -16,8 +16,6 @@ from ppmalign.likelihood import (
     PairwiseObservations,
     _observed_pairs,
     _pair_of_rank,
-    entropy,
-    kl,
     kl_min_max,
     modified_gaussian,
     random_corruption,
@@ -33,7 +31,6 @@ class TestDistributions:
     def test_random_corruption_values(self):
         d = random_corruption(0.5, 2)
         np.testing.assert_allclose(d.p0, [0.75, 0.25], atol=1e-15)
-        assert d.symmetric
         d = random_corruption(0.3, 5)
         np.testing.assert_allclose(d.p0[0], 0.3 + 0.7 / 5)
         np.testing.assert_allclose(d.p0[1:], 0.7 / 5)
@@ -50,7 +47,6 @@ class TestDistributions:
         d = modified_gaussian(1.0, 3)
         w = math.exp(-0.5)
         np.testing.assert_allclose(d.p0, np.array([1.0, w, w]) / (1 + 2 * w), atol=1e-15)
-        assert d.symmetric
 
     def test_modified_gaussian_shapes(self):
         # wide sigma flattens toward uniform, narrow concentrates at 0
@@ -69,7 +65,7 @@ class TestDistributions:
         with pytest.raises(ValueError):
             NoiseDistribution(np.array([1.2, -0.2]))
         d = NoiseDistribution(np.array([0.2, 0.5, 0.3]))
-        assert not d.symmetric and d.m == 3 and d.min_mass == 0.2
+        assert d.m == 3 and d.min_mass == 0.2
 
     def test_regularize(self):
         d = random_corruption(1.0, 4)  # degenerate: all mass on 0
@@ -93,22 +89,26 @@ class TestDivergences:
         np.testing.assert_allclose(got, 1.0 - math.sqrt(3.0) / 2.0, atol=1e-14)
 
     def test_kl_basics(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert kl(p, p) == 0.0
-        assert kl([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]) < math.inf
-        assert kl([0.25, 0.25, 0.5], [0.5, 0.5, 0.0]) == math.inf
+        # kl_min_max against the oracle over every nonzero shift: zero
+        # only for uniform noise, positive otherwise, +inf on missing support
+        assert kl_min_max(NoiseDistribution(np.full(4, 0.25))) == (0.0, 0.0)
+        assert kl_min_max(random_corruption(1.0, 3)) == (math.inf, math.inf)
+        # a shift by 2 keeps the support of [0.5, 0, 0.5, 0], a shift by 1 misses it
+        assert kl_min_max(NoiseDistribution([0.5, 0.0, 0.5, 0.0])) == (0.0, math.inf)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            a = rng.dirichlet(np.ones(4))
-            b = rng.dirichlet(np.ones(4))
-            assert kl(a, b) >= 0.0
+            p = rng.dirichlet(np.ones(4))
+            want = [kl(p, np.roll(p, l)) for l in range(1, 4)]
+            got = kl_min_max(NoiseDistribution(p))
+            assert got == (min(want), max(want))
+            assert got[0] > 0.0
 
     def test_pinsker(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            a = rng.dirichlet(np.ones(5))
-            b = rng.dirichlet(np.ones(5))
-            assert kl(a, b) >= 2.0 * total_variation(a, b) ** 2 - 1e-12
+            p = rng.dirichlet(np.ones(5))
+            tv = min(total_variation(p, np.roll(p, l)) for l in range(1, 5))
+            assert kl_min_max(NoiseDistribution(p))[0] >= 2.0 * tv**2 - 1e-12
 
     def test_kl_close_to_four_hellinger_when_small(self):
         # in the weak-signal regime KL and 4 H^2 agree within a factor 1.5
@@ -258,6 +258,12 @@ class TestObservations:
         with pytest.raises(ValueError):
             sample_observations([1, 2], d, 0.0, seed=0)
 
+    @pytest.mark.parametrize("x", [[1.5, 2.7, 3.2], [1.0, 2.0, 3.0], [True, False, True]])
+    def test_non_integer_labels_rejected(self, x):
+        # truncation would read [1.5, 2.7, 3.2] as [1, 2, 3]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            sample_observations(x, random_corruption(1.0, 3), 1.0, seed=0)
+
     def test_csv_round_trip(self):
         x = np.array([1, 2, 3, 1, 2])
         obs = sample_observations(x, random_corruption(0.4, 3), 0.8, seed=5)
@@ -361,6 +367,19 @@ class TestEdgeList:
     def test_csv_field_count_and_type_checked_per_line(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: expected i,j,y"):
             PairwiseObservations.from_csv(text, n=5, m=2)
+
+    @pytest.mark.parametrize("load, text, line", [
+        (lambda t: PairwiseObservations.from_csv(t, n=5, m=2),
+         "i,j,y\n3,0,1\n99999999999999999999,0,1\n", 3),
+        (lambda t: PairwiseObservations.from_csv(t, n=5, m=2),
+         "i,j,y\n3,-99999999999999999999,1\n", 2),
+        (lambda t: MatchObservations.from_csv(t, n=5, m=1),
+         "i,j,row,col,value\n2,0,99999999999999999999,0,1\n", 2),
+    ], ids=["pairwise", "pairwise-negative", "match"])
+    def test_csv_integer_beyond_int64_names_its_line(self, load, text, line):
+        # not an OverflowError from the int64 conversion, which names no line
+        with pytest.raises(ValueError, match=f"^line {line}: expected i,j,"):
+            load(text)
 
     def test_csv_empty_edge_list_is_the_empty_graph(self):
         obs = PairwiseObservations.from_csv("i,j,y\n", n=5, m=2)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ import ppmalign.matching as matching
 from conftest import (
     dense_match_expansion,
     full_budget_match_solve,
+    match_block,
     per_edge_sample_match_observations,
+    perm_matrix,
 )
 from ppmalign.matching import (
     _LAP_TOL,
@@ -20,7 +24,6 @@ from ppmalign.matching import (
     lap_project,
     match_solve,
     mismatch_rate,
-    perm_matrix,
     sample_match_observations,
 )
 
@@ -200,7 +203,7 @@ class TestObservations:
         np.testing.assert_array_equal(ta, tb)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), m=st.integers(1, 9),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), m=st.integers(1, 9),
            corrupt=st.sampled_from([0.0, 0.3, 1.0]),
            p_obs=st.sampled_from([1.0, 0.5, 0.05]))
     def test_blocks_bit_identical_to_per_edge_sampler(self, seed, n, m, corrupt, p_obs):
@@ -211,6 +214,24 @@ class TestObservations:
             got, want = getattr(obs, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    def test_peak_memory_sparse_regime(self):
+        # pairs by geometric skips, O(n + E); a mask over all n^2/2 pairs
+        # peaks near 300 MB here
+        n = 5000
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            obs, _ = sample_match_observations(n, 2, 0.3, seed=1, p_obs=20 * math.log(n) / n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert obs.n_edges > 0
+        assert peak < 60 * 2**20, peak / 2**20
 
     def test_blocks_are_permutation_matrices(self):
         obs, _ = sample_match_observations(10, 5, 0.5, seed=4)
@@ -224,16 +245,31 @@ class TestObservations:
         noisy, t1 = sample_match_observations(14, 4, 1.0, seed=6)
         assert input_mismatch_rate(noisy, t1) > 0.5
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 6))
+    def test_input_mismatch_matches_dense_products(self, seed, n, m):
+        # real-valued blocks: each row's argmax against that of X_i X_j^T
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        blocks = rng.standard_normal((lo.size, m, m))
+        obs = MatchObservations(n=n, m=m, ii=hi, jj=lo, blocks=blocks)
+        truth = np.stack([rng.permutation(m) for _ in range(n)])
+        wrong = 0
+        for e in range(obs.n_edges):
+            ref = perm_matrix(truth[hi[e]]) @ perm_matrix(truth[lo[e]]).T
+            wrong += int(np.count_nonzero(blocks[e].argmax(axis=1) != ref.argmax(axis=1)))
+        assert input_mismatch_rate(obs, truth) == wrong / (obs.n_edges * m)
+
     def test_input_mismatch_needs_pairs(self):
-        lone, t = sample_match_observations(1, 3, 0.0, seed=8)
+        lone = MatchObservations(n=1, m=3, ii=[], jj=[], blocks=np.empty((0, 3, 3)))
         with pytest.raises(ValueError, match="no observed pairs"):
-            input_mismatch_rate(lone, t)
+            input_mismatch_rate(lone, [[0, 1, 2]])
 
     def test_block_accessor_mirrors(self):
         obs, _ = sample_match_observations(6, 3, 0.4, seed=7)
-        np.testing.assert_array_equal(obs.block(0, 4), obs.block(4, 0).T)
+        np.testing.assert_array_equal(match_block(obs, 0, 4), match_block(obs, 4, 0).T)
         with pytest.raises(KeyError):
-            obs.block(2, 2)
+            match_block(obs, 2, 2)
 
     def test_partial_graph_missing_pair(self):
         obs, _ = sample_match_observations(20, 3, 0.0, seed=8, p_obs=0.3)
@@ -243,7 +279,7 @@ class TestObservations:
             (i, j) for i in range(20) for j in range(i) if (i, j) not in present
         )
         with pytest.raises(KeyError):
-            obs.block(*absent)
+            match_block(obs, *absent)
 
     def test_csv_round_trip(self):
         # edge order is canonicalized on load; contents must survive exactly
@@ -251,7 +287,7 @@ class TestObservations:
         again = MatchObservations.from_csv(obs.to_csv(), n=7, m=3)
         assert again.n_edges == obs.n_edges
         for a, b in zip(obs.ii.tolist(), obs.jj.tolist()):
-            np.testing.assert_array_equal(again.block(a, b), obs.block(a, b))
+            np.testing.assert_array_equal(match_block(again, a, b), match_block(obs, a, b))
 
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
@@ -273,6 +309,14 @@ class TestObservations:
         MatchObservations.from_csv("\n".join(lines), n=3, m=2)  # the unedited file loads
         with pytest.raises(ValueError, match=message):
             MatchObservations.from_csv("\n".join(edit(lines)), n=3, m=2)
+
+    def test_constructor_coerces_blocks(self):
+        obs = MatchObservations(n=3, m=2, ii=[2], jj=[0], blocks=[[[1, 0], [0, 1]]])
+        assert obs.blocks.dtype == np.float64
+        np.testing.assert_array_equal(obs.blocks, [np.eye(2)])
+        for blocks in ([[[1.0, 0], [0]]], [[["a", 0], [0, 1]]]):  # ragged, non-numeric
+            with pytest.raises(ValueError, match="numeric"):
+                MatchObservations(n=3, m=2, ii=[2], jj=[0], blocks=blocks)
 
     def test_constructor_rejects_bad_pairs(self):
         blocks = np.ones((2, 2, 2))
@@ -357,7 +401,7 @@ class TestMatchSolve:
             assert fast.iterations_run == slow.iterations_run
             assert fast.mismatch_trace.tobytes() == slow.mismatch_trace.tobytes()
 
-    # seed 0 at n=10, m=4, corrupt=0.6 enters a 2-cycle at step 5, so T = 8
+    # seed 8 at n=10, m=4, corrupt=0.6 enters a 2-cycle at step 5, so T = 8
     # and T = 9 leave an odd and an even number of steps to pad
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), m=st.integers(1, 5),
@@ -365,8 +409,8 @@ class TestMatchSolve:
            p_obs=st.sampled_from((0.5, 1.0)),
            T=st.one_of(st.sampled_from((0, 1, 2)), st.integers(3, 30)),
            with_truth=st.booleans())
-    @example(seed=0, n=10, m=4, corrupt=0.6, p_obs=1.0, T=8, with_truth=True)
-    @example(seed=0, n=10, m=4, corrupt=0.6, p_obs=1.0, T=9, with_truth=True)
+    @example(seed=8, n=10, m=4, corrupt=0.6, p_obs=1.0, T=8, with_truth=True)
+    @example(seed=8, n=10, m=4, corrupt=0.6, p_obs=1.0, T=9, with_truth=True)
     def test_report_matches_full_budget_loop(self, seed, n, m, corrupt, p_obs, T,
                                              with_truth):
         obs, truth = sample_match_observations(n, m, corrupt, seed=seed, p_obs=p_obs)
@@ -387,11 +431,11 @@ class TestMatchSolve:
         calls = []
         lap = matching.lap_project
         monkeypatch.setattr(matching, "lap_project", lambda s: (calls.append(1), lap(s))[1])
-        obs, _ = sample_match_observations(10, 4, 0.6, seed=0)
+        obs, _ = sample_match_observations(10, 4, 0.6, seed=8)
         finals = set()
         for T in (8, 9):
             calls.clear()
-            rep = match_solve(obs, T=T, seed=0)
+            rep = match_solve(obs, T=T, seed=8)
             assert len(calls) == 10 * (1 + 5)
             assert rep.iterations_run == T and not rep.converged
             finals.add(rep.perms.tobytes())

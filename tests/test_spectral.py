@@ -13,7 +13,7 @@ from ppmalign.likelihood import (
     random_corruption,
     sample_observations,
 )
-from ppmalign.matching import DenseBlockMatrix, sample_match_observations
+from ppmalign.matching import DenseBlockMatrix, MatchObservations, sample_match_observations
 from ppmalign.solver import labels_of, mcr
 from ppmalign.spectral import initial_guess, orthogonal_iteration
 
@@ -258,7 +258,10 @@ class TestAgainstEigh:
     @given(n=st.integers(1, 10), m=st.sampled_from([3, 5]), corrupt=st.floats(0.0, 1.0),
            r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_match_blocks(self, n, m, corrupt, r, seed):
-        obs, _ = sample_match_observations(n, m, corrupt, seed=seed)
+        if n == 1:  # the sampler needs two items; one item is the zero operator
+            obs = MatchObservations(n=1, m=m, ii=[], jj=[], blocks=np.empty((0, m, m)))
+        else:
+            obs, _ = sample_match_observations(n, m, corrupt, seed=seed)
         assert_matches_eigh(DenseBlockMatrix(obs), dense_match_expansion(obs),
                             min(r, n * m), seed)
 
