@@ -32,7 +32,7 @@ from .likelihood import (
     threshold_random_corruption,
 )
 from .solver import ScalingPolicy, SolveReport, default_iterations, solve
-from .spectral import initial_guess, orthogonal_iteration
+from .spectral import _WARM_START_TOL, initial_guess, orthogonal_iteration
 
 MODELS = ("random_corruption", "modified_gaussian", "custom_p0")
 
@@ -84,7 +84,7 @@ class ExperimentConfig:
     seed: int = 0
     varsigma: float = 0.01
     init_iters: int = 200
-    init_tol: float = 1e-8
+    init_tol: float = _WARM_START_TOL
     early_stop: bool = False
     custom_p0: tuple[float, ...] | None = None
 

@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .likelihood import _csv_records, _edge_list, _observed_pairs
 from .solver import _power_loop
-from .spectral import orthogonal_iteration
+from .spectral import _WARM_START_TOL, orthogonal_iteration
 
 _LAP_TOL = 1e-9
 
@@ -385,7 +385,7 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
     n, m = obs.n, obs.m
     op = DenseBlockMatrix(obs)
     rng = np.random.default_rng(seed)
-    fac = orthogonal_iteration(op, r=m, seed=int(rng.integers(2**63)))
+    fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
     col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
     perms = _assign(col_block.reshape(n, m, m))

@@ -170,14 +170,14 @@ def full_budget_match_solve(obs, T, seed, truth=None):
         lap_project,
         mismatch_rate,
     )
-    from ppmalign.spectral import orthogonal_iteration
+    from ppmalign.spectral import _WARM_START_TOL, orthogonal_iteration
 
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
     n, m = obs.n, obs.m
     op = DenseBlockMatrix(obs)
     rng = np.random.default_rng(seed)
-    fac = orthogonal_iteration(op, r=m, seed=int(rng.integers(2**63)))
+    fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
     col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
     zb = col_block.reshape(n, m, m)

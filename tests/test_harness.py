@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import ppmalign.harness as harness
 from ppmalign.exceptions import ConfigError
 from ppmalign.harness import (
     SWEEP_HEADER,
@@ -22,6 +23,7 @@ from ppmalign.harness import (
 )
 from ppmalign.likelihood import threshold_kl, threshold_random_corruption
 from ppmalign.solver import ScalingPolicy
+from ppmalign.spectral import _WARM_START_TOL
 
 
 def cli(*argv, **kw):
@@ -162,6 +164,14 @@ class TestRuns:
         np.testing.assert_array_equal(a.iterates_mcr, b.iterates_mcr)
         _, tc = run_trial(cfg, 40, 0.6, cell_index=0, trial=1)
         assert not np.array_equal(ta, tc)
+
+    def test_warm_start_at_pipeline_tol(self, monkeypatch):
+        tols = []
+        factor = harness.orthogonal_iteration
+        monkeypatch.setattr(harness, "orthogonal_iteration",
+                            lambda *a, **kw: (tols.append(kw["tol"]), factor(*a, **kw))[1])
+        run_trial(ExperimentConfig(), 30, 0.2, cell_index=0, trial=0)
+        assert tols == [_WARM_START_TOL]
 
     def test_sweep_covers_grid(self):
         cfg = ExperimentConfig(n_grid=(20, 30), param_grid=(0.9, 0.5), m=3,

@@ -26,6 +26,7 @@ from ppmalign.matching import (
     mismatch_rate,
     sample_match_observations,
 )
+from ppmalign.spectral import _WARM_START_TOL
 
 
 def brute_force_lap(score):
@@ -383,6 +384,15 @@ class TestMatchSolve:
             assert input_mismatch_rate(obs, truth) > 0.2
             assert rep.final_mismatch == 0.0
             assert rep.converged
+
+    def test_warm_start_at_pipeline_tol(self, monkeypatch):
+        tols = []
+        factor = matching.orthogonal_iteration
+        monkeypatch.setattr(matching, "orthogonal_iteration",
+                            lambda *a, **kw: (tols.append(kw["tol"]), factor(*a, **kw))[1])
+        obs, _ = sample_match_observations(10, 4, 0.2, seed=1)
+        match_solve(obs, T=5, seed=2)
+        assert tols == [_WARM_START_TOL]
 
     def test_single_solve_path_leaves_runs_unchanged(self, monkeypatch):
         # criterion-7 instances, with and without the dual prices that
