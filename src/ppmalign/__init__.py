@@ -54,7 +54,6 @@ from .solver import (
     labels_of,
     lift,
     mcr,
-    shift_labels,
     solve,
 )
 from .spectral import LowRankFactor, initial_guess, orthogonal_iteration
@@ -103,7 +102,6 @@ __all__ = [
     "run_trial",
     "sample_match_observations",
     "sample_observations",
-    "shift_labels",
     "solve",
     "sweep_csv",
     "threshold_kl",

@@ -93,15 +93,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ConfigError("n: thresholds needs --n")
-    try:
-        n_grid = tuple(int(s) for s in args.n.split(","))
-    except ValueError:
-        raise ConfigError(f"n: expected integers, got {args.n!r}") from None
-    try:
-        table = threshold_table(n_grid, args.m, args.pobs)
-    except ValueError as exc:
-        raise ConfigError(f"thresholds: {exc}") from None
-    _write_output(table, args.out)
+    flags = {"n": args.n, "m": args.m, "pobs": args.pobs, "out": args.out}
+    cfg, out = build_config({k: v for k, v in flags.items() if v is not None})
+    _write_output(threshold_table(cfg.n_grid, cfg.m, cfg.p_obs), out)
     return 0
 
 
@@ -181,8 +175,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("thresholds", help="recovery threshold table")
     p_thr.add_argument("--n", help="comma list of item counts")
-    p_thr.add_argument("--m", type=int, default=2)
-    p_thr.add_argument("--pobs", type=float, default=1.0)
+    p_thr.add_argument("--m", help="number of labels (default 2)")
+    p_thr.add_argument("--pobs", help="pair observation probability (default 1)")
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_thresholds)
     return parser

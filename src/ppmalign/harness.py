@@ -48,22 +48,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+# mu spec suffix -> ScalingPolicy.sigma_ref
+_SPEC_REFS = {"sigma2": "sigma2", "sigmam": "sigma_m"}
+
+
 def parse_mu_spec(spec: str) -> ScalingPolicy:
     """Parse a scaling spec: 'inf', 'c/sigma2', 'c/sigmam', or a bare number."""
-    s = spec.strip().lower()
-    if s == "inf":
-        return ScalingPolicy.infinite()
-    num, slash, ref = s.partition("/")
-    if slash and ref not in ("sigma2", "sigmam"):
+    num, slash, ref = spec.strip().lower().partition("/")
+    if slash and ref not in _SPEC_REFS:
         raise ConfigError(f"mu: unknown sigma reference {ref!r} (want sigma2 or sigmam)")
     try:
         c = float(num)
     except ValueError:
         raise ConfigError(f"mu: cannot parse {spec!r}") from None
     try:
-        if not slash:
-            return ScalingPolicy.fixed(c)
-        return ScalingPolicy.over_sigma2(c) if ref == "sigma2" else ScalingPolicy.over_sigma_m(c)
+        return ScalingPolicy(c, _SPEC_REFS.get(ref))
     except ValueError as exc:
         raise ConfigError(f"mu: {exc}, got {spec!r}") from None
 
@@ -84,7 +83,6 @@ class ExperimentConfig:
     seed: int = 0
     varsigma: float = 0.01
     init_iters: int = 200
-    init_tol: float = _WARM_START_TOL
     early_stop: bool = False
     custom_p0: tuple[float, ...] | None = None
 
@@ -126,8 +124,6 @@ class ExperimentConfig:
             raise ConfigError(f"varsigma: must lie in (0, 1), got {self.varsigma}")
         if self.init_iters < 1:
             raise ConfigError(f"init_iters: must be >= 1, got {self.init_iters}")
-        if not self.init_tol > 0:
-            raise ConfigError(f"init_tol: must be positive, got {self.init_tol}")
 
     @property
     def resolved_form(self) -> str:
@@ -164,7 +160,7 @@ def run_trial(cfg: ExperimentConfig, n: int, param: float, cell_index: int,
     L = build(obs, d if form != "agreement" else None, form)
     r = m - 1 if form == "debiased-loglik" else m
     r = max(r, cfg.policy.min_rank(m))
-    fac = orthogonal_iteration(L, r=r, max_iters=cfg.init_iters, tol=cfg.init_tol, seed=s_init)
+    fac = orthogonal_iteration(L, r=r, max_iters=cfg.init_iters, tol=_WARM_START_TOL, seed=s_init)
     mu0 = cfg.policy.resolve_mu(fac.S, m)
     z0 = initial_guess(L, fac, mu0, s_col)
     t_budget = cfg.T if cfg.T is not None else default_iterations(n)
@@ -304,7 +300,6 @@ _CONFIG_KEYS = {
     "seed": ("seed", _to_int),
     "varsigma": ("varsigma", _to_float),
     "init_iters": ("init_iters", _to_int),
-    "init_tol": ("init_tol", _to_float),
     "early_stop": ("early_stop", _to_bool),
     "p0": ("custom_p0", _grid(_to_float)),
     "out": (None, None),

@@ -140,7 +140,6 @@ class PairwiseObservations:
 
     n: int
     m: int
-    p_obs: float
     i: np.ndarray
     j: np.ndarray
     y: np.ndarray
@@ -165,10 +164,10 @@ class PairwiseObservations:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, n: int, m: int, p_obs: float = float("nan")):
+    def from_csv(cls, text: str, n: int, m: int):
         rows = _csv_records(text, "i,j,y", (int, int, int))
         i, j, y = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        return cls(n=n, m=m, p_obs=p_obs, i=i, j=j, y=y)
+        return cls(n=n, m=m, i=i, j=j, y=y)
 
 
 def _edge_list(n: int, *columns):
@@ -272,7 +271,7 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     np.clip(eta, 0, m - 1, out=eta)
     # store with i > j: y_ij for (i, j) = (b, a)
     y = (x[b] - x[a] + eta) % m
-    return PairwiseObservations(n=n, m=m, p_obs=p_obs, i=b, j=a, y=y)
+    return PairwiseObservations(n=n, m=m, i=b, j=a, y=y)
 
 
 def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
@@ -346,4 +345,4 @@ def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: in
     repl = rng.random(obs.n_edges) < varsigma
     y = obs.y.copy()
     y[repl] = rng.integers(0, obs.m, int(repl.sum()))
-    return PairwiseObservations(obs.n, obs.m, obs.p_obs, obs.i, obs.j, y)
+    return PairwiseObservations(obs.n, obs.m, obs.i, obs.j, y)

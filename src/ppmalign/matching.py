@@ -317,8 +317,7 @@ def mismatch_rate(perms, truth) -> float:
     if perms.shape != truth.shape or perms.ndim != 2:
         raise ValueError("perms and truth must both be (n, m)")
     n, m = perms.shape
-    counts = np.zeros((m, m))
-    np.add.at(counts, (truth.ravel(), perms.ravel()), 1.0)
+    counts = np.bincount(truth.ravel() * m + perms.ravel(), minlength=m * m).reshape(m, m)
     g = lap_project(counts)
     matched = counts[np.arange(m), g].sum()
     return 1.0 - float(matched) / (n * m)

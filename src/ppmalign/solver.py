@@ -47,85 +47,68 @@ def labels_of(z) -> np.ndarray:
     return np.argmax(z, axis=1) + 1
 
 
-def shift_labels(labels, l: int, m: int) -> np.ndarray:
-    """Apply the global cyclic shift: label -> ((label - 1 + l) mod m) + 1."""
-    labels = np.asarray(labels, dtype=np.int64)
-    return ((labels - 1 + l) % m) + 1
-
-
 def mcr(a, b, m: int) -> float:
     """Misclassification rate modulo global shift.
 
     The fraction of positions where a and the best cyclic relabeling of b
-    disagree; 0 exactly at exact recovery.
+    disagree; 0 exactly at exact recovery.  For labels in 1..m, a agrees
+    with b shifted by l exactly where (a - b) mod m = l, so one count of
+    those residues scores every shift.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("label vectors must be 1-d, nonempty, same length")
-    best = a.size
-    for l in range(m):
-        best = min(best, int(np.count_nonzero(a != shift_labels(b, l, m))))
-    return best / a.size
+    agree = int(np.bincount((a - b) % m).max())
+    return (a.size - agree) / a.size
 
 
 @dataclass(frozen=True)
 class ScalingPolicy:
     """How the projection scaling mu_t is chosen (constant across t).
 
-    kind
-        "infinite"         round every block to its best vertex;
-        "const_over_sigma" mu = c / sigma_ref(L), with sigma_ref either the
-                           second ("sigma2") or the m-th ("sigma_m") largest
-                           singular value of the matrix being iterated;
-        "fixed"            an explicit numeric mu.
+    mu = c when sigma_ref is None, else c / sigma with sigma the second
+    ("sigma2") or the m-th ("sigma_m") largest singular value of the matrix
+    being iterated.  The default c = inf rounds every block to its best
+    vertex.
     """
 
-    kind: str
-    c: float = 0.0
-    sigma_ref: str = "sigma2"
-    value: float = 0.0
+    c: float = math.inf
+    sigma_ref: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("infinite", "const_over_sigma", "fixed"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "const_over_sigma":
-            if self.sigma_ref not in ("sigma2", "sigma_m"):
-                raise ValueError(f"unknown sigma reference {self.sigma_ref!r}")
-            if not self.c > 0:
-                raise ValueError("policy constant c must be positive")
-        if self.kind == "fixed" and not self.value > 0:
-            raise ValueError("fixed mu must be positive")
+        if self.sigma_ref not in (None, "sigma2", "sigma_m"):
+            raise ValueError(f"unknown sigma reference {self.sigma_ref!r}")
+        if not self.c > 0:
+            raise ValueError("policy constant c must be positive")
 
     @classmethod
     def infinite(cls) -> "ScalingPolicy":
-        return cls(kind="infinite")
+        return cls()
 
     @classmethod
     def over_sigma2(cls, c: float = 10.0) -> "ScalingPolicy":
-        return cls(kind="const_over_sigma", c=c, sigma_ref="sigma2")
+        return cls(c, "sigma2")
 
     @classmethod
     def over_sigma_m(cls, c: float = 20.0) -> "ScalingPolicy":
-        return cls(kind="const_over_sigma", c=c, sigma_ref="sigma_m")
+        return cls(c, "sigma_m")
 
     @classmethod
     def fixed(cls, value: float) -> "ScalingPolicy":
-        return cls(kind="fixed", value=value)
+        return cls(value)
 
     def min_rank(self, m: int) -> int:
         """Smallest factorization rank that exposes the needed sigma."""
-        if self.kind == "const_over_sigma":
-            return 2 if self.sigma_ref == "sigma2" else m
-        return 1
+        if self.sigma_ref is None:
+            return 1
+        return 2 if self.sigma_ref == "sigma2" else m
 
     def resolve_mu(self, sigmas, m: int) -> float:
         """Concrete scaling for one run; needs sigma estimates when relative."""
-        if self.kind == "infinite":
-            return math.inf
-        if self.kind == "fixed":
-            return self.value
-        idx = 1 if self.sigma_ref == "sigma2" else m - 1
+        if self.sigma_ref is None:
+            return self.c
+        idx = self.min_rank(m) - 1
         if sigmas is None or len(sigmas) <= idx:
             raise MissingSigmaError(
                 f"policy needs singular value #{idx + 1} but only "
@@ -147,7 +130,6 @@ class SolveReport:
     iterations_run: int
     converged: bool
     mu_used: float
-    sigma_estimates: np.ndarray | None
 
     @property
     def final_mcr(self) -> float:
@@ -281,7 +263,6 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
         iterations_run=ran,
         converged=met,
         mu_used=mu,
-        sigma_estimates=None if sigmas is None else np.asarray(sigmas, dtype=float),
     )
 
 
@@ -307,6 +288,8 @@ def check_contraction(L, truth, policy: ScalingPolicy, trials: int = 100,
     n, m = L.n, L.m
     if truth_arr.shape != (n,):
         raise ValueError("truth length must match the matrix")
+    if n < 2:
+        raise ValueError("need n >= 2: one item has no error modulo the global shift")
     if trials < 1:
         raise ValueError("need at least one probe")
     mu = policy.resolve_mu(sigmas, m)

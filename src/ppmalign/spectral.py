@@ -15,10 +15,10 @@ Ritz pairs of the basis so far; when the basis is full and the test fails,
 the leading Ritz vectors are kept and the rest rebuilt.  The factor reports
 the same quantity after the Rayleigh-Ritz step, max_k ||L u_k - theta_k
 u_k|| / |theta_1|, as ``residual``.  The harness's ``init_iters`` caps the
-restarts and its ``init_tol`` is tol; the pipeline's default,
-``_WARM_START_TOL``, is also what ``match_solve`` uses.  The operator only
-needs ``shape`` and products with (N, k) matrices, so both the
-circulant-block and the dense-block operators plug in.
+restarts; the harness and ``match_solve`` both factor to tol =
+``_WARM_START_TOL``.  The operator only needs ``shape`` and products with
+(N, k) matrices, so both the circulant-block and the dense-block operators
+plug in.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _WARM_START_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class LowRankFactor:
-    """Rank-r factorization U diag(S) V^T of a symmetric operator.
+    """Rank-r factorization U diag(S) V^T of a symmetric operator, r = S.size.
 
     S holds singular values in nonincreasing order; V equals U with columns
     flipped by the sign of the corresponding eigenvalue.
@@ -46,7 +46,6 @@ class LowRankFactor:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    r: int
     converged: bool
     residual: float
     iterations: int
@@ -228,7 +227,7 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
         u, theta, lu = ritz(np.hstack([u, w]))
     residual = float(np.linalg.norm(lu - u * theta, axis=0).max() / max(abs(theta[0]), 1e-300))
     signs = np.where(theta >= 0, 1.0, -1.0)
-    return LowRankFactor(U=u, S=np.abs(theta), V=u * signs, r=r,
+    return LowRankFactor(U=u, S=np.abs(theta), V=u * signs,
                          converged=residual <= tol, residual=residual, iterations=cols)
 
 def initial_guess(L, fac: LowRankFactor, mu0: float, seed: int) -> np.ndarray:

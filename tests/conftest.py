@@ -52,7 +52,13 @@ def per_pair_sample_observations(x, d, p_obs, seed):
     eta = np.searchsorted(cdf, rng.random(a.size), side="right")
     np.clip(eta, 0, m - 1, out=eta)
     y = (x[b] - x[a] + eta) % m
-    return PairwiseObservations(n=n, m=m, p_obs=p_obs, i=b, j=a, y=y)
+    return PairwiseObservations(n=n, m=m, i=b, j=a, y=y)
+
+
+def shift_labels(labels, l: int, m: int) -> np.ndarray:
+    """Apply the global cyclic shift: label -> ((label - 1 + l) mod m) + 1."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return ((labels - 1 + l) % m) + 1
 
 
 def perm_matrix(p) -> np.ndarray:
@@ -157,7 +163,6 @@ def full_budget_solve(L, z0, policy, T, truth=None, sigmas=None, early_stop=True
         iterations_run=ran,
         converged=met,
         mu_used=mu,
-        sigma_estimates=None if sigmas is None else np.asarray(sigmas, dtype=float),
     )
 
 

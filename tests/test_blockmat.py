@@ -30,7 +30,7 @@ def random_instance(rng, n=None, m=None, p_obs=None, form="loglik"):
 
 
 def edges(n, m, i, j, y):
-    return PairwiseObservations(n=n, m=m, p_obs=1.0, i=i, j=j, y=y)
+    return PairwiseObservations(n=n, m=m, i=i, j=j, y=y)
 
 
 class TestBuild:

@@ -279,7 +279,7 @@ class TestObservations:
         with pytest.raises(ValueError, match="duplicate"):
             PairwiseObservations.from_csv("i,j,y\n2,0,1\n3,1,0\n2,0,1\n", n=4, m=2)
         with pytest.raises(ValueError, match="duplicate"):
-            PairwiseObservations(n=4, m=2, p_obs=1.0, i=np.array([2, 2]),
+            PairwiseObservations(n=4, m=2, i=np.array([2, 2]),
                                  j=np.array([1, 1]), y=np.array([0, 1]))
         # unsorted but distinct pairs are fine
         obs = PairwiseObservations.from_csv("i,j,y\n3,1,0\n2,0,1\n", n=4, m=2)
@@ -297,7 +297,7 @@ class TestObservations:
 
 
 def pairwise(n, i, j):
-    return PairwiseObservations(n=n, m=2, p_obs=1.0, i=i, j=j, y=np.zeros(len(i), dtype=int))
+    return PairwiseObservations(n=n, m=2, i=i, j=j, y=np.zeros(len(i), dtype=int))
 
 
 def matched(n, i, j):
@@ -335,27 +335,27 @@ class TestEdgeList:
 
     def test_int64_input_kept_and_narrow_input_widened(self):
         i, j = np.array([2, 1]), np.array([0, 0], dtype=np.int32)
-        obs = PairwiseObservations(n=3, m=3, p_obs=1.0, i=i, j=j, y=np.array([1, 2]))
+        obs = PairwiseObservations(n=3, m=3, i=i, j=j, y=np.array([1, 2]))
         assert obs.i is i and obs.j.dtype == np.int64
 
     @pytest.mark.parametrize("y", [[0, 2], [-1, 0]])
     def test_residues_out_of_range_rejected(self, y):
         with pytest.raises(ValueError, match="residues out of range"):
-            PairwiseObservations(n=3, m=2, p_obs=1.0, i=[2, 1], j=[0, 0], y=y)
+            PairwiseObservations(n=3, m=2, i=[2, 1], j=[0, 0], y=y)
 
     def test_float_residues_rejected(self):
         # they were truncated by the operator, y = [0.5, 2.7] acting as [0, 2]
         with pytest.raises(ValueError, match="integers"):
-            PairwiseObservations(n=3, m=3, p_obs=1.0, i=np.array([2, 1]),
+            PairwiseObservations(n=3, m=3, i=np.array([2, 1]),
                                  j=np.array([0, 0]), y=np.array([0.5, 2.7]))
 
     def test_float_indices_rejected(self):
         with pytest.raises(ValueError, match="integers"):
-            PairwiseObservations(n=3, m=3, p_obs=1.0, i=np.array([2.0, 1.5]),
+            PairwiseObservations(n=3, m=3, i=np.array([2.0, 1.5]),
                                  j=np.array([0.0, 0.0]), y=np.array([0, 1]))
 
     def test_lists_accepted(self):
-        obs = PairwiseObservations(n=3, m=3, p_obs=1.0, i=[2, 1], j=[0, 0], y=[1, 2])
+        obs = PairwiseObservations(n=3, m=3, i=[2, 1], j=[0, 0], y=[1, 2])
         np.testing.assert_array_equal(build(obs).block(2, 0), build(obs).block(0, 2).T)
         assert obs.y.dtype == np.int64
 

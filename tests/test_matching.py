@@ -191,6 +191,16 @@ class TestMismatchRate:
         est[0] = [1, 0, 2, 3]  # two wrong assignments in one item
         assert mismatch_rate(est, truth) == pytest.approx(2 / 40)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 5))
+    def test_best_relabeling_by_enumeration(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        perms = np.stack([rng.permutation(m) for _ in range(n)])
+        truth = np.stack([rng.permutation(m) for _ in range(n)])
+        best = max(int(np.count_nonzero(perms == np.array(g)[truth]))
+                   for g in itertools.permutations(range(m)))
+        assert mismatch_rate(perms, truth) == 1.0 - best / (n * m)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mismatch_rate(np.zeros((3, 2), dtype=int), np.zeros((2, 2), dtype=int))

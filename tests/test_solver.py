@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_budget_solve
+from conftest import full_budget_solve, shift_labels
 from ppmalign.blockmat import build
 from ppmalign.exceptions import MissingSigmaError
-from ppmalign.likelihood import random_corruption, sample_observations
+from ppmalign.harness import parse_mu_spec
+from ppmalign.likelihood import PairwiseObservations, random_corruption, sample_observations
 from ppmalign.solver import (
     ContractionReport,
     ScalingPolicy,
@@ -17,7 +18,6 @@ from ppmalign.solver import (
     labels_of,
     lift,
     mcr,
-    shift_labels,
     solve,
 )
 
@@ -54,6 +54,14 @@ class TestMetrics:
             assert mcr(a, shift_labels(b, l, 4), 4) == base
         assert mcr(b, a, 4) == base
         assert mcr(a, a, 4) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 9), n=st.integers(1, 40))
+    def test_mcr_is_least_mismatch_over_shifts(self, data, m, n):
+        labels = st.lists(st.integers(1, m), min_size=n, max_size=n)
+        a, b = np.array(data.draw(labels)), np.array(data.draw(labels))
+        want = min(int(np.count_nonzero(a != shift_labels(b, l, m))) for l in range(m))
+        assert mcr(a, b, m) == want / n
 
     def test_mcr_validation(self):
         with pytest.raises(ValueError):
@@ -113,13 +121,35 @@ class TestScalingPolicy:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            ScalingPolicy(kind="bogus")
+            ScalingPolicy(1.0, "sigma9")
         with pytest.raises(ValueError):
-            ScalingPolicy(kind="const_over_sigma", c=-1.0)
-        with pytest.raises(ValueError):
-            ScalingPolicy(kind="const_over_sigma", c=1.0, sigma_ref="sigma9")
+            ScalingPolicy(-1.0, "sigma2")
         with pytest.raises(ValueError):
             ScalingPolicy.fixed(0.0)
+        with pytest.raises(ValueError):
+            ScalingPolicy(math.nan)
+        with pytest.raises(ValueError):
+            ScalingPolicy(math.nan, "sigma_m")
+
+    # every route to one policy (classmethod, mu spec, direct construction)
+    # gives the same policy, min_rank(3) and resolve_mu([100, 5, 4], 3)
+    @pytest.mark.parametrize("routes,rank,mu", [
+        ((ScalingPolicy.infinite(), parse_mu_spec("inf"), parse_mu_spec(" INF "),
+          ScalingPolicy(), ScalingPolicy(math.inf)), 1, math.inf),
+        ((ScalingPolicy.over_sigma2(10.0), parse_mu_spec("10/sigma2"),
+          ScalingPolicy(10.0, "sigma2")), 2, 2.0),
+        ((ScalingPolicy.over_sigma_m(20.0), parse_mu_spec("20/sigmam"),
+          ScalingPolicy(20.0, "sigma_m")), 3, 5.0),
+        ((ScalingPolicy.fixed(3.5), parse_mu_spec("3.5"), ScalingPolicy(3.5)), 1, 3.5),
+        ((ScalingPolicy.over_sigma2(math.inf), parse_mu_spec("inf/sigma2"),
+          ScalingPolicy(math.inf, "sigma2")), 2, math.inf),
+    ])
+    def test_construction_routes_agree(self, routes, rank, mu):
+        sig = np.array([100.0, 5.0, 4.0])
+        for policy in routes:
+            assert policy == routes[0]
+            assert policy.min_rank(3) == rank
+            assert policy.resolve_mu(sig, 3) == mu
 
 
 class TestSolve:
@@ -213,7 +243,7 @@ class CountingOp:
 
 def assert_same_report(got, want):
     """Every SolveReport field equal, arrays bit for bit."""
-    for name in ("estimate", "z", "iterates_mcr", "sigma_estimates"):
+    for name in ("estimate", "z", "iterates_mcr"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
@@ -325,3 +355,9 @@ class TestContraction:
             check_contraction(L, x[:-1], ScalingPolicy.infinite())
         with pytest.raises(ValueError):
             check_contraction(L, x, ScalingPolicy.infinite(), trials=0)
+
+    def test_single_item_refused(self):
+        # one item has error 0 modulo the global shift, before and after
+        obs = PairwiseObservations(n=1, m=3, i=[], j=[], y=[])
+        with pytest.raises(ValueError, match="n >= 2"):
+            check_contraction(build(obs, None, "agreement"), [1], ScalingPolicy.infinite())

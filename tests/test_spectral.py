@@ -194,7 +194,7 @@ class TestOrthogonalIteration:
         assert_matches_eigh(DenseOp(a), a, r, seed=r)
 
     def test_empty_graph(self):
-        obs = PairwiseObservations(n=5, m=3, p_obs=1.0, i=[], j=[], y=[])
+        obs = PairwiseObservations(n=5, m=3, i=[], j=[], y=[])
         L = CirculantBlockMatrix(obs, np.log([0.5, 0.3, 0.2]))
         fac = orthogonal_iteration(L, r=3, seed=0)
         np.testing.assert_array_equal(fac.S, np.zeros(3))
