@@ -19,6 +19,8 @@ import sys
 from .blockmat import FORMS
 from .exceptions import ConfigError, MissingSigmaError
 from .harness import (
+    _CONFIG_KEYS,
+    MODELS,
     build_config,
     parse_config_text,
     run_single,
@@ -44,7 +46,7 @@ def _add_common_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", help="master seed")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--model", choices=("random_corruption", "modified_gaussian", "custom_p0"))
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--n", help="number of items" + (", comma list allowed" if sweep else ""))
     p.add_argument("--m", help="number of labels")
     p.add_argument("--pobs", help="pair observation probability")
@@ -93,9 +95,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ConfigError("n: thresholds needs --n")
-    flags = {"n": args.n, "m": args.m, "pobs": args.pobs, "out": args.out}
-    cfg, out = build_config({k: v for k, v in flags.items() if v is not None})
-    _write_output(threshold_table(cfg.n_grid, cfg.m, cfg.p_obs), out)
+    # no ExperimentConfig: it would build a length-m pmf; the threshold functions check values
+    n_grid, m, p_obs = (_CONFIG_KEYS[k][1](k, getattr(args, k)) for k in ("n", "m", "pobs"))
+    try:
+        table = threshold_table(n_grid, m, p_obs)
+    except ValueError as exc:
+        raise ConfigError(f"thresholds: {exc}") from None
+    _write_output(table, args.out)
     return 0
 
 
@@ -175,8 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("thresholds", help="recovery threshold table")
     p_thr.add_argument("--n", help="comma list of item counts")
-    p_thr.add_argument("--m", help="number of labels (default 2)")
-    p_thr.add_argument("--pobs", help="pair observation probability (default 1)")
+    p_thr.add_argument("--m", default="2", help="number of labels (default 2)")
+    p_thr.add_argument("--pobs", default="1", help="pair observation probability (default 1)")
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_thresholds)
     return parser

@@ -248,7 +248,7 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     d : NoiseDistribution
         Law of the additive noise eta.
     p_obs : float in (0, 1]
-        Pair sampling rate.
+        Pair sampling rate; any other value raises ValueError.
     seed : int
         Seed for the pair selection and the noise draws.
     """
@@ -261,8 +261,6 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     x = x.astype(np.int64, copy=False)
     if np.any(x < 1) or np.any(x > m):
         raise ValueError(f"labels must lie in 1..{m}")
-    if not 0 < p_obs <= 1:
-        raise ValueError("p_obs must lie in (0, 1]")
     n = x.size
     rng = np.random.default_rng(seed)
     a, b = _observed_pairs(n, p_obs, rng)
@@ -277,14 +275,17 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
 def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
     """Index arrays (a, b), a < b, of the pairs kept at rate p_obs.
 
-    Pairs are ranked in lexicographic order, row a holding the ranks from
-    a(2n - a - 1)/2 on, and the gaps between kept ranks are drawn as
-    geometric(p_obs) variables (Batagelj & Brandes, Phys. Rev. E 71, 2005).
+    The one check of p_obs for both problem families: outside (0, 1], NaN
+    included, it raises ValueError.  Pairs are ranked in lexicographic
+    order and the gaps between kept ranks are geometric(p_obs) variables
+    (Batagelj & Brandes, Phys. Rev. E 71, 2005), so the kept ranks ascend.
     At p_obs = 1 the stream is advanced past the N = n(n-1)/2 uniforms
     that a per-pair mask draws; that is one 64-bit step per float64 for
     the PCG64 generator ``default_rng`` makes.  The advance also drops a
     32-bit half-word that earlier bounded draws may have left pending.
     """
+    if not 0 < p_obs <= 1:
+        raise ValueError(f"p_obs must lie in (0, 1], got {p_obs}")
     total = n * (n - 1) // 2
     if p_obs == 1:
         rng.bit_generator.advance(total)
@@ -311,26 +312,15 @@ def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
 
 
 def _pair_of_rank(k: np.ndarray, n: int):
-    """Unrank lexicographic pair ranks k over n items to (a, b), a < b.
+    """Unrank ascending lexicographic pair ranks k over n items to (a, b), a < b.
 
-    Row a starts at rank a(2n - a - 1)/2.  The float root of that
-    quadratic, taken of its exact integer discriminant, gives a to within
-    one, and one integer step each way makes it exact.
+    Row a starts at rank a(2n - a - 1)/2, so counting the ranks below each
+    row start gives every row's share of k in exact integer arithmetic.
     """
-    c = 2 * n - 1
-    disc = np.multiply(k, -8)
-    disc += c * c
-    root = np.sqrt(disc)
-    del disc
-    np.subtract(c, root, out=root)
-    root *= 0.5
-    a = np.floor(root, out=root).astype(np.int64)
-    del root
-    a -= a * (c - a) // 2 > k
-    a += (a + 1) * (c - a - 1) // 2 <= k
-    b = k - a * (c - a) // 2
-    b += a + 1
-    return a, b
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    a = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=k.size))
+    return a, k - starts[a] + a + 1
 
 
 def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: int) -> PairwiseObservations:

@@ -188,8 +188,10 @@ class MatchObservations:
             raise ValueError("blocks must be a numeric (n_edges, m, m) array") from None
         if blocks.shape != (ii.size, self.m, self.m):
             raise ValueError("blocks must be (n_edges, m, m)")
-        if not np.all(np.isfinite(blocks)):
-            raise ValueError("block entries must be finite")
+        # the eigensolver squares norms up to max|b| n m; divide, as that product may overflow
+        limit = np.sqrt(np.finfo(float).max) / (self.n * self.m)
+        if blocks.size and not -limit <= blocks.min() <= blocks.max() <= limit:
+            raise ValueError(f"block entries must be finite and at most {limit:.3g} in magnitude")
         object.__setattr__(self, "ii", ii)
         object.__setattr__(self, "jj", jj)
         object.__setattr__(self, "blocks", blocks)
@@ -285,8 +287,8 @@ def sample_match_observations(n: int, m: int, corrupt_rate: float, seed: int,
     Returns (MatchObservations, truth) where truth is an (n, m) array of
     permutation index arrays.
     """
-    if not 0 <= corrupt_rate <= 1 or not 0 < p_obs <= 1:
-        raise ValueError("rates must lie in [0, 1] (p_obs in (0, 1])")
+    if not 0 <= corrupt_rate <= 1:
+        raise ValueError(f"corrupt_rate must lie in [0, 1], got {corrupt_rate}")
     if n < 2 or m < 1:
         raise ValueError("need at least two items and m >= 1 features")
     rng = np.random.default_rng(seed)

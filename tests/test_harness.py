@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,25 @@ class TestCli:
         assert lines[0] == THRESHOLD_HEADER
         assert len(lines) == 3
 
+    def test_thresholds_allocate_no_pmf(self, capsys):
+        # a config would build the length-m random_corruption pmf, 80 MB here
+        import ppmalign.cli
+
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            status = ppmalign.cli.main(["thresholds", "--n", "100", "--m", "10000000"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert status == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("100,10000000,1,")
+        assert peak < 8e6
+
     def test_match_synthetic(self):
         res = cli("match", "--n", "12", "--m", "4", "--corrupt", "0.2",
                   "--iters", "10", "--seed", "3")
@@ -409,6 +429,8 @@ class TestCli:
             "range": lines + ["9,0,0,0,1"],
             "duplicate": lines + [lines[1]],
             "incomplete": lines[:-1],
+            # finite, but the eigensolver's squared norms would overflow
+            "huge": [ln[:-2] + ",1e308" if ln.endswith(",1") else ln for ln in lines],
         }
         runs = [("--n", "abc"), ("--n", "0"), ("--m", "0"), ("--seed", "-1")]
         for name, text in bad_files.items():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import entropy, hellinger_sq, kl, per_pair_sample_observations, total_variation
 from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
-from ppmalign.matching import MatchObservations
+from ppmalign.matching import MatchObservations, sample_match_observations
 from ppmalign.likelihood import (
     NoiseDistribution,
     PairwiseObservations,
@@ -429,20 +429,42 @@ class TestPairSampler:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 17, 1000, 65537, 200_000, 10**9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 1000, 65537, 200_000, 10**7])
     def test_unrank_exact_at_row_ends(self, n):
         if n <= 200_000:
             a = np.arange(n - 1, dtype=np.int64)
         else:
-            # the root is off by a row only this far out; take the rows at
-            # both ends and a spread in between
+            # the rows at both ends and a spread in between; the row table
+            # takes O(n) memory, which caps n here
             a = np.unique(np.concatenate([np.arange(3000), np.arange(n - 3001, n - 1),
                                           np.arange(0, n - 1, n // 30000)]))
         first = a * (2 * n - a - 1) // 2
         last = first + (n - 2 - a)
-        rows, cols = _pair_of_rank(np.concatenate([first, last]), n)
-        np.testing.assert_array_equal(rows, np.concatenate([a, a]))
-        np.testing.assert_array_equal(cols, np.concatenate([a + 1, np.full(a.size, n - 1)]))
+        # ascending: each row's first rank, then its last
+        rows, cols = _pair_of_rank(np.stack([first, last], axis=1).ravel(), n)
+        np.testing.assert_array_equal(rows, np.repeat(a, 2))
+        np.testing.assert_array_equal(
+            cols, np.stack([a + 1, np.full(a.size, n - 1)], axis=1).ravel())
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+           density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_unrank_matches_triu_indices(self, seed, n, density):
+        total = n * (n - 1) // 2
+        k = np.flatnonzero(np.random.default_rng(seed).random(total) < density)
+        rows, cols = _pair_of_rank(k, n)
+        ra, rb = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(rows, ra[k])
+        np.testing.assert_array_equal(cols, rb[k])
+
+    @pytest.mark.parametrize("p_obs", [0, -0.5, 1.5, math.nan])
+    def test_rate_outside_unit_interval_rejected(self, p_obs):
+        with pytest.raises(ValueError, match="p_obs"):
+            _observed_pairs(5, p_obs, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="p_obs"):
+            sample_observations(np.ones(5, dtype=int), random_corruption(0.5, 2), p_obs, 0)
+        with pytest.raises(ValueError, match="p_obs"):
+            sample_match_observations(5, 2, 0.1, seed=0, p_obs=p_obs)
 
     @pytest.mark.parametrize("gap", [1, 2, 7])
     def test_sweep_runs_on_across_blocks(self, gap):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,17 @@ class TestMatchSolve:
             assert input_mismatch_rate(obs, truth) > 0.2
             assert rep.final_mismatch == 0.0
             assert rep.converged
+
+    def test_huge_finite_blocks_solve_without_warnings(self):
+        # 1e152 sits just under the bound sqrt(max float) / (n m) at n = 12, m = 4
+        obs, _ = sample_match_observations(12, 4, 0.3, seed=5)
+        huge = MatchObservations(n=12, m=4, ii=obs.ii, jj=obs.jj, blocks=obs.blocks * 1e152)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = match_solve(huge, T=20, seed=5)
+        np.testing.assert_array_equal(got.perms, match_solve(obs, T=20, seed=5).perms)
+        with pytest.raises(ValueError, match="at most"):
+            MatchObservations(n=12, m=4, ii=obs.ii, jj=obs.jj, blocks=obs.blocks * 1e154)
 
     def test_warm_start_at_pipeline_tol(self, monkeypatch):
         tols = []
