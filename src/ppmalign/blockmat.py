@@ -8,9 +8,12 @@ generator h shared by all pairs.  So L factors as (I_n kron G) P_y, where
 P_y gathers each neighbour's block cyclically shifted by its residue and
 G[a, k] = h(k - a) is a single m x m circulant.
 
-Storage is the edge list (i, j) with i > j, the residues y and h.  A product
-costs O(E m r) for the residue-sorted sparse gathers plus O(n m^2 r) for the
-circulant, and needs no per-pair arrays.
+Storage is the edge list (i, j) with i > j, sorted by (j, i), the residues
+y and h, plus m CSR adjacencies that hold two index-dtype entries per pair.
+Their data is one shared array of ones, as long as the fullest of them:
+about 28 B per pair in all at m = 2 and int32.  A product costs O(E m r) for
+the residue-sorted sparse gathers plus O(n m^2 r) for the circulant; no
+m x m block is stored per pair.
 """
 
 from __future__ import annotations
@@ -36,40 +39,43 @@ def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
     """The m (2n, n) CSR adjacencies of the factored product, one per shift.
 
     Entry (i, j) of adjacency y[e] and entry (n + j, i) of adjacency
-    (-y[e]) mod m count the pair e.  The pairs are distinct, so sorting one
-    int64 key per entry by (shift, row, column) in place gives the arrays
-    a COO-to-CSR conversion would, in canonical order, without its
-    temporaries.
+    (-y[e]) mod m count the pair e.  The pairs come sorted by (j, i), so
+    with rows y n + i and columns j they already form a CSC matrix, and one
+    conversion to CSR gives every shift's stored half, n rows each, with
+    the columns of each row ascending.  The mirrored half of shift s is the
+    transpose of the stored half of shift (-s) mod m.  The pairs are
+    distinct, so these are the canonical arrays a COO-to-CSR conversion
+    would give, without its sort or temporaries.
     """
-    e = ii.size
-    key = np.empty(2 * e, dtype=np.int64)
-    fwd, back = key[:e], key[e:]
-    np.multiply(y, 2 * n, out=fwd)
-    fwd += ii
-    fwd *= n
-    fwd += jj
-    np.negative(y, out=back)
-    back %= m
-    back *= 2 * n
-    back += jj
-    back += n
-    back *= n
-    back += ii
-    key.sort()
-    index_dtype = np.int32 if max(n, key.size) < 2**31 else np.int64
-    indices = np.empty(key.size, dtype=index_dtype)
-    np.remainder(key, n, out=indices, casting="unsafe")
-    key //= n  # now shift * 2n + row
-    indptr = np.zeros(2 * n * m + 1, dtype=index_dtype)
-    np.cumsum(np.bincount(key, minlength=2 * n * m), out=indptr[1:])
-    del key, fwd, back
-    adj = []
+    rows = y * n
+    rows += ii
+    # boolean data: the conversion's own copy of it costs a byte per pair
+    stored = sp.csc_matrix((np.ones(ii.size, dtype=bool), rows,
+                            np.searchsorted(jj, np.arange(n + 1, dtype=jj.dtype))),
+                           shape=(m * n, n)).tocsr()
+    del rows
+
+    def half(s):
+        """Stored half of shift s as CSR (data, indices, indptr) views."""
+        lo, hi = stored.indptr[s * n], stored.indptr[(s + 1) * n]
+        return (stored.data[lo:hi], stored.indices[lo:hi],
+                stored.indptr[s * n:(s + 1) * n + 1] - lo)
+
+    parts = []
     for s in range(m):
-        ptr = indptr[s * 2 * n:(s + 1) * 2 * n + 1]
-        lo, hi = ptr[0], ptr[-1]
-        # own copies: scipy would copy a slice under half its base anyway
-        adj.append(sp.csr_matrix((np.ones(hi - lo), indices[lo:hi].copy(), ptr - lo),
-                                 shape=(2 * n, n)))
+        _, top, top_ptr = half(s)
+        # a CSR half read as CSC is its transpose
+        bottom = sp.csc_matrix(half(-s % m), shape=(n, n)).tocsr()
+        parts.append((np.concatenate([top, bottom.indices]),
+                      np.concatenate([top_ptr, bottom.indptr[1:].astype(np.int64) + top.size])))
+    del stored, top, top_ptr, bottom
+    ones = np.ones(max(indices.size for indices, _ in parts))
+    adj = []
+    for indices, indptr in parts:
+        a = sp.csr_matrix((ones[:indices.size], indices, indptr), shape=(2 * n, n))
+        # scipy copies a slice under half its base; every shift shares the ones
+        a.data = ones[:indices.size]
+        adj.append(a)
     return adj
 
 

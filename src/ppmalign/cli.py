@@ -99,7 +99,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     n_grid, m, p_obs = (_CONFIG_KEYS[k][1](k, getattr(args, k)) for k in ("n", "m", "pobs"))
     try:
         table = threshold_table(n_grid, m, p_obs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an n or m beyond float
         raise ConfigError(f"thresholds: {exc}") from None
     _write_output(table, args.out)
     return 0

@@ -135,7 +135,9 @@ class PairwiseObservations:
 
     Each sampled unordered pair is stored once with i > j; the mirrored
     reading is y_ji = (m - y_ij) mod m.  Arrays ``i``, ``j``, ``y`` are
-    aligned; indices are 0-based, residues lie in {0, ..., m-1}.
+    aligned, in the index dtype of ``_edge_list`` and sorted by (j, i),
+    which the operator build relies on; indices are 0-based, residues lie
+    in {0, ..., m-1}.
     """
 
     n: int
@@ -145,12 +147,9 @@ class PairwiseObservations:
     y: np.ndarray
 
     def __post_init__(self):
-        i, j, y = _edge_list(self.n, self.i, self.j, self.y)
-        if y.size and (y.min() < 0 or y.max() >= self.m):
-            raise ValueError("residues out of range")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "y", y)
+        *columns, order = _edge_list(self.n, self.m, self.i, self.j, self.y)
+        for name, c in zip("ijy", columns):
+            object.__setattr__(self, name, c if order is None else c[order])
 
     @property
     def n_edges(self) -> int:
@@ -170,30 +169,43 @@ class PairwiseObservations:
         return cls(n=n, m=m, i=i, j=j, y=y)
 
 
-def _edge_list(n: int, *columns):
-    """Validate aligned edge columns i, j, ... and return them as int64.
+def _index_dtype(n: int, m: int):
+    """int32 when every index into the (n m)-long lifted vector fits it, else int64."""
+    return np.int32 if n * m < 2**31 else np.int64
+
+
+def _edge_list(n: int, m: int, *columns):
+    """Validate aligned edge columns i, j, y... and return them in the index dtype.
 
     Every column is a 1-d integer array (lists are accepted) of one length;
-    int64 input is not copied.  The first two columns are the endpoints of
-    unordered pairs, each stored once with i > j and both ends in 0..n-1.
-    The repeat test is linear when the pairs come sorted by (j, i), as both
-    samplers emit them, and only sorts other inputs.
+    input already in ``_index_dtype(n, m)`` is not copied.  The first two
+    columns are the endpoints of unordered pairs, each stored once with
+    i > j and both ends in 0..n-1; any further columns are residues in
+    0..m-1.  The last value returned is the permutation that sorts the
+    pairs by (j, i), or None when they come sorted, as both samplers emit
+    them; the repeat test is then linear and only other inputs are sorted.
     """
     columns = [np.asarray(c) for c in columns]
     if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
         raise ValueError("edge arrays must be aligned 1-d arrays")
     if columns[0].size and any(c.dtype.kind not in "iu" for c in columns):
         raise ValueError("edge arrays must hold integers")
-    i, j, *rest = (c.astype(np.int64, copy=False) for c in columns)
+    i, j, *rest = columns
     if i.size and not np.all(i > j):
         raise ValueError("edges must be stored with i > j")
     if i.size and (i.max() >= n or j.min() < 0):
         raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    if any(y.size and (y.min() < 0 or y.max() >= m) for y in rest):
+        raise ValueError("residues out of range")
+    # every value is in range now, so the cast is exact
+    dtype = _index_dtype(n, m)
+    i, j, *rest = (c.astype(dtype, copy=False) for c in columns)
+    order = None
     if not _rising(i, j):
         order = np.lexsort((i, j))
         if not _rising(i[order], j[order]):
             raise ValueError("duplicate pair in observations")
-    return (i, j, *rest)
+    return (i, j, *rest, order)
 
 
 def _rising(i, j) -> bool:
@@ -258,22 +270,27 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
         raise ValueError("need at least two items")
     if x.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
-    x = x.astype(np.int64, copy=False)
     if np.any(x < 1) or np.any(x > m):
         raise ValueError(f"labels must lie in 1..{m}")
     n = x.size
+    dtype = _index_dtype(n, m)
+    x = x.astype(dtype, copy=False)
     rng = np.random.default_rng(seed)
-    a, b = _observed_pairs(n, p_obs, rng)
+    a, b = _observed_pairs(n, p_obs, rng, dtype)
     cdf = np.cumsum(d.p0)
     eta = np.searchsorted(cdf, rng.random(a.size), side="right")
     np.clip(eta, 0, m - 1, out=eta)
-    # store with i > j: y_ij for (i, j) = (b, a)
-    y = (x[b] - x[a] + eta) % m
+    # store with i > j: y_ij = (x_i - x_j + eta) mod m for (i, j) = (b, a)
+    y = x[b]
+    y -= x[a]
+    y += eta
+    del eta
+    y %= m
     return PairwiseObservations(n=n, m=m, i=b, j=a, y=y)
 
 
-def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
-    """Index arrays (a, b), a < b, of the pairs kept at rate p_obs.
+def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator, dtype):
+    """Index arrays (a, b) of dtype, a < b, of the pairs kept at rate p_obs.
 
     The one check of p_obs for both problem families: outside (0, 1], NaN
     included, it raises ValueError.  Pairs are ranked in lexicographic
@@ -289,7 +306,7 @@ def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
     total = n * (n - 1) // 2
     if p_obs == 1:
         rng.bit_generator.advance(total)
-        return np.triu_indices(n, k=1)
+        return tuple(c.astype(dtype) for c in np.triu_indices(n, k=1))
     blocks = []
     last = -1  # rank of the last kept pair
     while last < total - 1:
@@ -306,21 +323,25 @@ def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator):
         if stop < size:
             break
         last = int(k[-1])
-    k = np.concatenate(blocks)
+    k = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     del blocks
-    return _pair_of_rank(k, n)
+    return _pair_of_rank(k, n, dtype)
 
 
-def _pair_of_rank(k: np.ndarray, n: int):
+def _pair_of_rank(k: np.ndarray, n: int, dtype):
     """Unrank ascending lexicographic pair ranks k over n items to (a, b), a < b.
 
     Row a starts at rank a(2n - a - 1)/2, so counting the ranks below each
     row start gives every row's share of k in exact integer arithmetic.
+    Only the ranks are int64; a and b come out in dtype.
     """
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
-    a = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=k.size))
-    return a, k - starts[a] + a + 1
+    a = np.repeat(rows.astype(dtype), np.diff(np.searchsorted(k, starts), append=k.size))
+    b = np.empty_like(a)
+    # b = k - starts[a] + a + 1, and b < n, so the cast is exact
+    np.subtract(k, (starts - rows - 1)[a], out=b, casting="unsafe")
+    return a, b
 
 
 def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: int) -> PairwiseObservations:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from .likelihood import _csv_records, _edge_list, _observed_pairs
+from .likelihood import _csv_records, _edge_list, _index_dtype, _observed_pairs
 from .solver import _power_loop
 from .spectral import _WARM_START_TOL, orthogonal_iteration
 
@@ -169,7 +169,8 @@ class MatchObservations:
     """Noisy pairwise correspondence blocks on observed pairs, i > j.
 
     blocks[e] scores how strongly each feature of item ii[e] matches each
-    feature of item jj[e]; the mirrored block is the transpose.
+    feature of item jj[e]; the mirrored block is the transpose.  The pairs
+    keep their order, with ii and jj in the index dtype of ``_edge_list``.
     """
 
     n: int
@@ -181,7 +182,7 @@ class MatchObservations:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 items and m >= 1 features")
-        ii, jj = _edge_list(self.n, self.ii, self.jj)
+        ii, jj, _ = _edge_list(self.n, self.m, self.ii, self.jj)
         try:
             blocks = np.asarray(self.blocks, dtype=float)
         except (TypeError, ValueError):
@@ -293,7 +294,7 @@ def sample_match_observations(n: int, m: int, corrupt_rate: float, seed: int,
         raise ValueError("need at least two items and m >= 1 features")
     rng = np.random.default_rng(seed)
     truth = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
-    a, b = _observed_pairs(n, p_obs, rng)
+    a, b = _observed_pairs(n, p_obs, rng, _index_dtype(n, m))
     cols = _consistent_cols(truth, b, a)
     bad = rng.random(a.size) < corrupt_rate
     cols[bad] = rng.permuted(np.tile(np.arange(m), (int(bad.sum()), 1)), axis=1)

@@ -108,7 +108,7 @@ def per_edge_sample_match_observations(n, m, corrupt_rate, seed, p_obs=1.0):
         # a 32-bit half-word left over from the permutations
         rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 0, "uinteger": 0}
     else:
-        a, b = _observed_pairs(n, p_obs, rng)
+        a, b = _observed_pairs(n, p_obs, rng, np.int64)
     corrupted = [rng.random() < corrupt_rate for _ in range(a.size)]
     blocks = np.empty((a.size, m, m))
     for e in range(a.size):

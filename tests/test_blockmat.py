@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,9 +165,10 @@ class TestMatvec:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 12),
            p_obs=st.sampled_from((0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_adjacencies_bit_identical_to_coo_build(self, seed, n, m, p_obs, form):
-        # the CSR arrays are built by sorting keys; a COO-to-CSR conversion of
-        # the same entries is the reference, and products must agree bit for
-        # bit, since even last-bit drift can change an unconverged warm start
+        # the CSR arrays are built by converting the sorted pairs; a
+        # COO-to-CSR conversion of the same entries is the reference, and
+        # products must agree bit for bit, since even last-bit drift can
+        # change an unconverged warm start
         rng = np.random.default_rng(seed)
         lo, hi = np.triu_indices(n, 1)
         keep = rng.random(lo.size) < p_obs
@@ -195,6 +197,63 @@ class TestMatvec:
         assert np.array_equal(L.matmat(X), ref.matmat(X))
         z = rng.standard_normal((n, m))
         assert np.array_equal(L.matvec(z), ref.matvec(z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20), m=st.sampled_from((2, 3, 5)),
+           p_obs=st.sampled_from((0.0, 0.3, 1.0)), form=st.sampled_from(FORMS))
+    def test_permuted_edge_list_gives_the_same_products(self, seed, n, m, p_obs, form):
+        # the build reads the pairs in the (j, i) order PairwiseObservations
+        # stores; an edge list in any other order must give the same operator.
+        # p_obs = 0 is the empty graph and p_obs = 1 the complete one
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < p_obs
+        ii, jj = hi[keep], lo[keep]
+        y = rng.integers(0, m, ii.size)
+        perm = rng.permutation(ii.size)
+        d = NoiseDistribution(rng.dirichlet(np.ones(m) * 5.0))
+        d = None if form == "agreement" else d
+        ordered = build(edges(n, m, ii, jj, y), d, form)
+        permuted = build(edges(n, m, ii[perm], jj[perm], y[perm]), d, form)
+        dense = dense_expansion(ordered)
+        scale = max(1.0, np.abs(dense).sum(axis=1).max())
+        z = rng.standard_normal((n, m))
+        X = rng.standard_normal((n * m, 3))
+        products = ((permuted.matvec(z), ordered.matvec(z), (dense @ z.ravel()).reshape(n, m)),
+                    (permuted.matmat(X), ordered.matmat(X), dense @ X))
+        for got, want, oracle in products:
+            assert np.array_equal(got, want)
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12 * scale)
+
+    def test_shifts_share_one_array_of_ones(self):
+        # equal labels and mostly uncorrupted pairs leave shifts 1..4 far under
+        # half of shift 0's entries, where scipy would copy a slice of the ones
+        obs = sample_observations(np.ones(60, dtype=int), random_corruption(0.9, 5), 1.0, seed=4)
+        L = build(obs)
+        sizes = [a.nnz for a in L._adj]
+        assert 2 * min(sizes) < max(sizes)
+        ones = L._adj[int(np.argmax(sizes))].data
+        for a in L._adj:
+            assert np.shares_memory(a.data, ones) and a.data.flags.writeable
+            np.testing.assert_array_equal(a.data, 1.0)
+
+    def test_sample_and_build_peak_bytes_per_edge(self):
+        # a pair costs 12 B as int32 columns i, j, y, 8 B as two int32 entries
+        # of the adjacencies and about 8 B of the shared ones, 28 B in all;
+        # int64 columns, an int64 sort key or per-shift copies of the ones
+        # would each push the peak past the bound (it was 56 B with them)
+        n, m = 20_000, 2
+        x = np.random.default_rng(5).integers(1, m + 1, n)
+        d = random_corruption(0.5, m)
+        tracemalloc.start()
+        try:
+            obs = sample_observations(x, d, 20 * math.log(n) / n, seed=6)
+            L = build(obs, d, "agreement")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / obs.n_edges < 36
+        assert all(np.shares_memory(a.data, L._adj[0].data) for a in L._adj)
 
     def test_constructor_validation(self):
         # the edge list is checked by PairwiseObservations; the operator

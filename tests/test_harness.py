@@ -359,6 +359,8 @@ class TestCli:
                      ["thresholds", "--n", "1"],
                      ["thresholds", "--n", "100", "--m", "1"],
                      ["thresholds", "--n", "100", "--pobs", "0"],
+                     ["thresholds", "--n", "1" + "0" * 400],
+                     ["thresholds", "--n", "100", "--m", "1" + "0" * 400],
                      ["align", "--n", "30", "--m", "x"],
                      ["sweep", "--n", "30", "--trials", "x"],
                      ["align", "--n", "30", "--mu", "-1/sigma2"]):

@@ -327,16 +327,29 @@ class TestEdgeList:
     @pytest.mark.parametrize("family", [pairwise, matched], ids=["pairwise", "match"])
     def test_accepts_unsorted_distinct_pairs_and_lists(self, family):
         obs = family(4, [2, 1, 3, 2], [1, 0, 0, 0])
-        edges = (obs.i, obs.j) if family is pairwise else (obs.ii, obs.jj)
-        for got, want in zip(edges, ([2, 1, 3, 2], [1, 0, 0, 0])):
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+        if family is pairwise:
+            # stored sorted by (j, i), the order the operator build relies on
+            edges, want = (obs.i, obs.j, obs.y), ([1, 2, 3, 2], [0, 0, 0, 1], [0, 0, 0, 0])
+        else:
+            edges, want = (obs.ii, obs.jj), ([2, 1, 3, 2], [1, 0, 0, 0])
+        for got, w in zip(edges, want):
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, w)
         assert family(4, [], []).n_edges == 0
 
     def test_int64_input_kept_and_narrow_input_widened(self):
-        i, j = np.array([2, 1]), np.array([0, 0], dtype=np.int32)
-        obs = PairwiseObservations(n=3, m=3, i=i, j=j, y=np.array([1, 2]))
-        assert obs.i is i and obs.j.dtype == np.int64
+        # from n m = 2^31 on (m = 2 here) the edge columns are int64
+        i, j = np.array([1, 2]), np.array([0, 0], dtype=np.int32)
+        for obs in (pairwise(2**30, i, j), matched(2**30, i, j)):
+            got_i, got_j = (obs.i, obs.j) if isinstance(obs, PairwiseObservations) else (obs.ii, obs.jj)
+            assert got_i is i and got_j.dtype == np.int64
+
+    def test_int32_input_kept_and_wide_input_narrowed(self):
+        # below n m = 2^31 they are int32
+        i, j = np.array([1, 2], dtype=np.int32), np.array([0, 0])
+        for obs in (pairwise(2**30 - 1, i, j), matched(2**30 - 1, i, j)):
+            got_i, got_j = (obs.i, obs.j) if isinstance(obs, PairwiseObservations) else (obs.ii, obs.jj)
+            assert got_i is i and got_j.dtype == np.int32
 
     @pytest.mark.parametrize("y", [[0, 2], [-1, 0]])
     def test_residues_out_of_range_rejected(self, y):
@@ -357,7 +370,7 @@ class TestEdgeList:
     def test_lists_accepted(self):
         obs = PairwiseObservations(n=3, m=3, i=[2, 1], j=[0, 0], y=[1, 2])
         np.testing.assert_array_equal(build(obs).block(2, 0), build(obs).block(0, 2).T)
-        assert obs.y.dtype == np.int64
+        assert obs.i.dtype == obs.j.dtype == obs.y.dtype == np.int32
 
     @pytest.mark.parametrize("text, line", [
         ("i,j,y\n3,0\n1,4\n1,0\n", 2),  # loaded as two edges before
@@ -383,7 +396,7 @@ class TestEdgeList:
 
     def test_csv_empty_edge_list_is_the_empty_graph(self):
         obs = PairwiseObservations.from_csv("i,j,y\n", n=5, m=2)
-        assert obs.n_edges == 0 and obs.i.dtype == np.int64
+        assert obs.n_edges == 0 and obs.i.dtype == np.int32
         with pytest.raises(ValueError, match="header"):
             PairwiseObservations.from_csv("", n=5, m=2)
 
@@ -409,7 +422,7 @@ class TestPairSampler:
         x = np.random.default_rng(seed).integers(1, 4, n)
         obs = sample_observations(x, random_corruption(0.5, 3), p_obs, seed)
         i, j = obs.i, obs.j
-        assert i.dtype == j.dtype == np.int64
+        assert i.dtype == j.dtype == obs.y.dtype == np.int32
         assert np.all((0 <= j) & (j < i) & (i < n))
         key = j * n + i
         assert np.all(np.diff(key) > 0)
@@ -441,7 +454,7 @@ class TestPairSampler:
         first = a * (2 * n - a - 1) // 2
         last = first + (n - 2 - a)
         # ascending: each row's first rank, then its last
-        rows, cols = _pair_of_rank(np.stack([first, last], axis=1).ravel(), n)
+        rows, cols = _pair_of_rank(np.stack([first, last], axis=1).ravel(), n, np.int32)
         np.testing.assert_array_equal(rows, np.repeat(a, 2))
         np.testing.assert_array_equal(
             cols, np.stack([a + 1, np.full(a.size, n - 1)], axis=1).ravel())
@@ -452,7 +465,7 @@ class TestPairSampler:
     def test_unrank_matches_triu_indices(self, seed, n, density):
         total = n * (n - 1) // 2
         k = np.flatnonzero(np.random.default_rng(seed).random(total) < density)
-        rows, cols = _pair_of_rank(k, n)
+        rows, cols = _pair_of_rank(k, n, np.int32)
         ra, rb = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(rows, ra[k])
         np.testing.assert_array_equal(cols, rb[k])
@@ -460,7 +473,7 @@ class TestPairSampler:
     @pytest.mark.parametrize("p_obs", [0, -0.5, 1.5, math.nan])
     def test_rate_outside_unit_interval_rejected(self, p_obs):
         with pytest.raises(ValueError, match="p_obs"):
-            _observed_pairs(5, p_obs, np.random.default_rng(0))
+            _observed_pairs(5, p_obs, np.random.default_rng(0), np.int32)
         with pytest.raises(ValueError, match="p_obs"):
             sample_observations(np.ones(5, dtype=int), random_corruption(0.5, 2), p_obs, 0)
         with pytest.raises(ValueError, match="p_obs"):
@@ -471,13 +484,13 @@ class TestPairSampler:
         # fixed gaps outlast every block, so the sweep must resume at the
         # last kept rank until it passes N
         n = 100
-        a, b = _observed_pairs(n, 0.01, _FixedGaps(gap))
+        a, b = _observed_pairs(n, 0.01, _FixedGaps(gap), np.int32)
         ra, rb = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(a, ra[gap - 1::gap])
         np.testing.assert_array_equal(b, rb[gap - 1::gap])
 
     def test_overlong_gap_ends_sweep(self):
-        a, b = _observed_pairs(50, 1e-300, _FixedGaps(np.iinfo(np.int64).max))
+        a, b = _observed_pairs(50, 1e-300, _FixedGaps(np.iinfo(np.int64).max), np.int32)
         assert a.size == b.size == 0
 
     def test_inclusion_frequencies_match_binomial(self):
