@@ -9,11 +9,12 @@ P_y gathers each neighbour's block cyclically shifted by its residue and
 G[a, k] = h(k - a) is a single m x m circulant.
 
 Storage is the edge list (i, j) with i > j, sorted by (j, i), the residues
-y and h, plus m CSR adjacencies that hold two index-dtype entries per pair.
-Their data is one shared array of ones, as long as the fullest of them:
-about 28 B per pair in all at m = 2 and int32.  A product costs O(E m r) for
-the residue-sorted sparse gathers plus O(n m^2 r) for the circulant; no
-m x m block is stored per pair.
+y and h, plus m CSR halves, one per shift, that hold one index-dtype entry
+per pair.  L is symmetric, so the mirrored gathers use the transposes of
+the halves, CSC views of the same arrays.  Their data is one shared array
+of ones, as long as the fullest half: about 22 B per pair in all at m = 2
+and int32.  A product costs O(E m r) for the residue-sorted sparse gathers
+plus O(n m^2 r) for the circulant; no m x m block is stored per pair.
 """
 
 from __future__ import annotations
@@ -35,17 +36,16 @@ def _circ_index(m: int) -> np.ndarray:
     return (r[:, None] - r[None, :]) % m
 
 
-def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
-    """The m (2n, n) CSR adjacencies of the factored product, one per shift.
+def _shift_halves(n: int, m: int, ii, jj, y) -> list:
+    """The m stored halves of the factored product, one n x n CSR per shift.
 
-    Entry (i, j) of adjacency y[e] and entry (n + j, i) of adjacency
-    (-y[e]) mod m count the pair e.  The pairs come sorted by (j, i), so
-    with rows y n + i and columns j they already form a CSC matrix, and one
-    conversion to CSR gives every shift's stored half, n rows each, with
-    the columns of each row ascending.  The mirrored half of shift s is the
-    transpose of the stored half of shift (-s) mod m.  The pairs are
-    distinct, so these are the canonical arrays a COO-to-CSR conversion
-    would give, without its sort or temporaries.
+    Entry (i, j) of half y[e] counts the pair e.  The pairs come sorted by
+    (j, i), so with rows y n + i and columns j they already form a CSC
+    matrix, and one conversion to CSR gives every shift's half, n rows
+    each, with the columns of each row ascending.  The pairs are distinct,
+    so these are the canonical arrays a COO-to-CSR conversion would give,
+    without its sort or temporaries.  Their data is one shared array of
+    ones, as long as the fullest half.
     """
     rows = y * n
     rows += ii
@@ -54,29 +54,17 @@ def _shift_adjacencies(n: int, m: int, ii, jj, y) -> list:
                             np.searchsorted(jj, np.arange(n + 1, dtype=jj.dtype))),
                            shape=(m * n, n)).tocsr()
     del rows
-
-    def half(s):
-        """Stored half of shift s as CSR (data, indices, indptr) views."""
-        lo, hi = stored.indptr[s * n], stored.indptr[(s + 1) * n]
-        return (stored.data[lo:hi], stored.indices[lo:hi],
-                stored.indptr[s * n:(s + 1) * n + 1] - lo)
-
-    parts = []
+    bounds = stored.indptr[::n]
+    ones = np.ones(np.diff(bounds).max())
+    halves = []
     for s in range(m):
-        _, top, top_ptr = half(s)
-        # a CSR half read as CSC is its transpose
-        bottom = sp.csc_matrix(half(-s % m), shape=(n, n)).tocsr()
-        parts.append((np.concatenate([top, bottom.indices]),
-                      np.concatenate([top_ptr, bottom.indptr[1:].astype(np.int64) + top.size])))
-    del stored, top, top_ptr, bottom
-    ones = np.ones(max(indices.size for indices, _ in parts))
-    adj = []
-    for indices, indptr in parts:
-        a = sp.csr_matrix((ones[:indices.size], indices, indptr), shape=(2 * n, n))
-        # scipy copies a slice under half its base; every shift shares the ones
-        a.data = ones[:indices.size]
-        adj.append(a)
-    return adj
+        lo, hi = bounds[s], bounds[s + 1]
+        a = sp.csr_matrix((ones[:hi - lo], stored.indices[lo:hi],
+                           stored.indptr[s * n:(s + 1) * n + 1] - lo), shape=(n, n))
+        # scipy copies a slice under half its base; every half shares the ones
+        a.data = ones[:hi - lo]
+        halves.append(a)
+    return halves
 
 
 class CirculantBlockMatrix:
@@ -104,10 +92,14 @@ class CirculantBlockMatrix:
         self.y = obs.y
         self.h = h
         # L_ij z_j = G roll(z_j, y_ij) and L_ji z_i = G^T roll(z_i, -y_ij), so
-        # adjacency s gathers, into rows 0..n-1 (stored orientation) and
-        # n..2n-1 (mirrored), every neighbour whose block needs shift s
+        # half s gathers every stored-orientation neighbour whose block needs
+        # shift s, and the transpose of half (-s) mod m every mirrored one
         self._g = h[_circ_index(self.m).T]
-        self._adj = _shift_adjacencies(self.n, self.m, self.ii, self.jj, self.y)
+        self._halves = _shift_halves(self.n, self.m, self.ii, self.jj, self.y)
+        self._transposes = [a.T for a in self._halves]
+        for a, t in zip(self._halves, self._transposes):
+            # scipy's transpose copies a slice under half its base
+            t.data = a.data
 
     @property
     def shape(self):
@@ -131,9 +123,13 @@ class CirculantBlockMatrix:
         # labels last, so that the circulant step is two 2-D products rather
         # than n stacked ones; both transposes are free at r = 1
         zt = np.ascontiguousarray(zb.transpose(0, 2, 1))
-        acc = np.zeros((2 * n, r * m))
-        for s, adj in enumerate(self._adj):
-            acc += adj @ np.roll(zt, s, axis=2).reshape(n, r * m)
+        acc = np.zeros((2, n, r * m))
+        # mirrored gathers in shift order too: taking half s with roll -s
+        # adds the same terms in another order, which rounds differently
+        for s in range(m):
+            zs = np.roll(zt, s, axis=2).reshape(n, r * m)
+            acc[0] += self._halves[s] @ zs
+            acc[1] += self._transposes[-s % m] @ zs
         acc = acc.reshape(2, n * r, m)
         out = (acc[0] @ self._g.T + acc[1] @ self._g).reshape(n, r, m).transpose(0, 2, 1)
         return out[:, :, 0] if single else out

@@ -6,9 +6,20 @@ placed entry by entry, so agreement between the two paths is meaningful.
 """
 
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
+
+# a failing property test makes hypothesis write a failure patch with
+# libcst, whose import warns through mypy_extensions; under -W error that
+# warning would end the whole run with INTERNALERROR, so import it once here
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def dense_expansion(L) -> np.ndarray:

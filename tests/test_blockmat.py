@@ -34,6 +34,29 @@ def edges(n, m, i, j, y):
     return PairwiseObservations(n=n, m=m, i=i, j=j, y=y)
 
 
+def coo_reference_product(n, m, ii, jj, y, h, zb):
+    """Product with blocks zb of shape (n, m, r) through (2n, n) adjacencies.
+
+    The operator's former layout: adjacency s holds entry (i, j) for every
+    pair with y = s and entry (n + j, i) for every pair with -y = s mod m,
+    so its rows 0..n-1 gather the stored orientation and rows n..2n-1 the
+    mirrored one.  Built by COO-to-CSR conversion and summed in shift order.
+    """
+    rows = np.concatenate([ii, jj + n])
+    src = np.concatenate([jj, ii])
+    shift = np.concatenate([y, (-y) % m])
+    r = zb.shape[2]
+    zt = np.ascontiguousarray(zb.transpose(0, 2, 1))
+    acc = np.zeros((2 * n, r * m))
+    for s in range(m):
+        at = shift == s
+        adj = sp.csr_matrix((np.ones(np.count_nonzero(at)), (rows[at], src[at])), shape=(2 * n, n))
+        acc += adj @ np.roll(zt, s, axis=2).reshape(n, r * m)
+    acc = acc.reshape(2, n * r, m)
+    g = h[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+    return (acc[0] @ g.T + acc[1] @ g).reshape(n, r, m).transpose(0, 2, 1)
+
+
 class TestBuild:
     def test_agreement_single_pair_block(self):
         # one pair (2, 1) with y = 1, m = 3: block has ones where a - b = 1
@@ -165,10 +188,12 @@ class TestMatvec:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 12),
            p_obs=st.sampled_from((0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_adjacencies_bit_identical_to_coo_build(self, seed, n, m, p_obs, form):
-        # the CSR arrays are built by converting the sorted pairs; a
-        # COO-to-CSR conversion of the same entries is the reference, and
-        # products must agree bit for bit, since even last-bit drift can
-        # change an unconverged warm start
+        # the stored halves are sliced out of one conversion of the sorted
+        # pairs; a COO-to-CSR conversion of each shift's pairs is the
+        # reference.  Products must agree bit for bit with the sum over the
+        # old (2n, n) adjacencies, since even last-bit drift can change an
+        # unconverged warm start.  m up to 12 covers the self-mirrored
+        # shifts s = 0 and s = m/2
         rng = np.random.default_rng(seed)
         lo, hi = np.triu_indices(n, 1)
         keep = rng.random(lo.size) < p_obs
@@ -180,23 +205,23 @@ class TestMatvec:
         if form == "debiased-loglik":
             h -= h.mean()
         L = CirculantBlockMatrix(obs, h)
-        ref = CirculantBlockMatrix(obs, h)
-        rows = np.concatenate([ii, jj + n])
-        src = np.concatenate([jj, ii])
-        shift = np.concatenate([y, (-y) % m])
-        ref._adj = [
-            sp.csr_matrix((np.ones(np.count_nonzero(shift == s)),
-                           (rows[shift == s], src[shift == s])), shape=(2 * n, n))
-            for s in range(m)
-        ]
-        for got, want in zip(L._adj, ref._adj):
+        for s, (got, mirror) in enumerate(zip(L._halves, L._transposes)):
+            at = y == s
+            want = sp.csr_matrix((np.ones(np.count_nonzero(at)), (ii[at], jj[at])), shape=(n, n))
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_array_equal(got.data, want.data)
-        X = rng.standard_normal((n * m, 3))
-        assert np.array_equal(L.matmat(X), ref.matmat(X))
+            assert mirror.format == "csc" and mirror.shape == (n, n)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(mirror, part), getattr(got, part))
+            assert np.array_equal(mirror.toarray(), want.toarray().T)
+        for r in (1, 3):
+            X = rng.standard_normal((n * m, r))
+            want = coo_reference_product(n, m, ii, jj, y, h, X.reshape(n, m, r))
+            assert np.array_equal(L.matmat(X), want.reshape(n * m, r))
         z = rng.standard_normal((n, m))
-        assert np.array_equal(L.matvec(z), ref.matvec(z))
+        want = coo_reference_product(n, m, ii, jj, y, h, z[:, :, None])
+        assert np.array_equal(L.matvec(z), want[:, :, 0])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20), m=st.sampled_from((2, 3, 5)),
@@ -227,33 +252,41 @@ class TestMatvec:
 
     def test_shifts_share_one_array_of_ones(self):
         # equal labels and mostly uncorrupted pairs leave shifts 1..4 far under
-        # half of shift 0's entries, where scipy would copy a slice of the ones
+        # half of shift 0's entries, where scipy would copy a slice of the
+        # ones, both for the stored halves and for their transposed views
         obs = sample_observations(np.ones(60, dtype=int), random_corruption(0.9, 5), 1.0, seed=4)
         L = build(obs)
-        sizes = [a.nnz for a in L._adj]
+        sizes = [a.nnz for a in L._halves]
         assert 2 * min(sizes) < max(sizes)
-        ones = L._adj[int(np.argmax(sizes))].data
-        for a in L._adj:
+        ones = L._halves[int(np.argmax(sizes))].data
+        for a in L._halves + L._transposes:
             assert np.shares_memory(a.data, ones) and a.data.flags.writeable
             np.testing.assert_array_equal(a.data, 1.0)
 
     def test_sample_and_build_peak_bytes_per_edge(self):
-        # a pair costs 12 B as int32 columns i, j, y, 8 B as two int32 entries
-        # of the adjacencies and about 8 B of the shared ones, 28 B in all;
-        # int64 columns, an int64 sort key or per-shift copies of the ones
-        # would each push the peak past the bound (it was 56 B with them)
+        # the sampler sets the overall peak, about 24 B per pair.  The build
+        # adds about 11 B above what is already live: the stored halves'
+        # indices and shared ones, and the conversion's temporaries.  int64
+        # columns, an int64 sort key or per-shift copies of the ones would
+        # push the overall peak past its bound (it was 56 B with them), and
+        # a built mirror of every half the build's (it was 17.5 B with them)
         n, m = 20_000, 2
         x = np.random.default_rng(5).integers(1, m + 1, n)
         d = random_corruption(0.5, m)
         tracemalloc.start()
         try:
             obs = sample_observations(x, d, 20 * math.log(n) / n, seed=6)
-            L = build(obs, d, "agreement")
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            L = build(obs, d, "agreement")
+            build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / obs.n_edges < 36
-        assert all(np.shares_memory(a.data, L._adj[0].data) for a in L._adj)
+        assert max(peak, build_peak) / obs.n_edges < 36
+        assert (build_peak - live) / obs.n_edges < 14
+        ones = L._halves[0].data
+        assert all(np.shares_memory(a.data, ones) for a in L._halves + L._transposes)
 
     def test_constructor_validation(self):
         # the edge list is checked by PairwiseObservations; the operator
