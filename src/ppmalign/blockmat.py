@@ -8,18 +8,16 @@ generator h shared by all pairs.  So L factors as (I_n kron G) P_y, where
 P_y gathers each neighbour's block cyclically shifted by its residue and
 G[a, k] = h(k - a) is a single m x m circulant.
 
-Storage is the edge list (i, j) with i > j, sorted by (j, i), the residues
-y and h, plus m CSR halves, one per shift, that hold one index-dtype entry
-per pair.  L is symmetric, so the mirrored gathers use the transposes of
-the halves, CSC views of the same arrays.  Their data is one shared array
-of ones, as long as the fullest half: about 22 B per pair in all at m = 2
-and int32.  A product costs O(E m r) for the residue-sorted sparse gathers
+Storage is h plus m CSR halves, one per shift, that hold one index-dtype
+entry per pair; no edge list is kept.  L is symmetric, so the mirrored
+gathers use the transposes of the halves, CSC views of the same arrays.
+All indices are slices of one array, and all data is one shared array of
+ones, as long as the fullest half: about 8 B per pair in all at m = 2 and
+int32.  A product costs O(E m r) for the residue-sorted sparse gathers
 plus O(n m^2 r) for the circulant; no m x m block is stored per pair.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +34,7 @@ def _circ_index(m: int) -> np.ndarray:
     return (r[:, None] - r[None, :]) % m
 
 
-def _shift_halves(n: int, m: int, ii, jj, y) -> list:
+def _shift_halves(n: int, m: int, i, j, y) -> list:
     """The m stored halves of the factored product, one n x n CSR per shift.
 
     Entry (i, j) of half y[e] counts the pair e.  The pairs come sorted by
@@ -44,14 +42,15 @@ def _shift_halves(n: int, m: int, ii, jj, y) -> list:
     matrix, and one conversion to CSR gives every shift's half, n rows
     each, with the columns of each row ascending.  The pairs are distinct,
     so these are the canonical arrays a COO-to-CSR conversion would give,
-    without its sort or temporaries.  Their data is one shared array of
-    ones, as long as the fullest half.
+    without its sort or temporaries.  Their indices are slices of the
+    conversion's, and their data is one shared array of ones, as long as
+    the fullest half.
     """
     rows = y * n
-    rows += ii
+    rows += i
     # boolean data: the conversion's own copy of it costs a byte per pair
-    stored = sp.csc_matrix((np.ones(ii.size, dtype=bool), rows,
-                            np.searchsorted(jj, np.arange(n + 1, dtype=jj.dtype))),
+    stored = sp.csc_matrix((np.ones(i.size, dtype=bool), rows,
+                            np.searchsorted(j, np.arange(n + 1, dtype=j.dtype))),
                            shape=(m * n, n)).tocsr()
     del rows
     bounds = stored.indptr[::n]
@@ -61,7 +60,9 @@ def _shift_halves(n: int, m: int, ii, jj, y) -> list:
         lo, hi = bounds[s], bounds[s + 1]
         a = sp.csr_matrix((ones[:hi - lo], stored.indices[lo:hi],
                            stored.indptr[s * n:(s + 1) * n + 1] - lo), shape=(n, n))
-        # scipy copies a slice under half its base; every half shares the ones
+        # scipy copies a slice under half its base, so every half is given its
+        # views back; the cast copies only where scipy narrowed int64 indices
+        a.indices = stored.indices[lo:hi].astype(a.indices.dtype, copy=False)
         a.data = ones[:hi - lo]
         halves.append(a)
     return halves
@@ -74,11 +75,11 @@ class CirculantBlockMatrix:
     ----------
     obs : PairwiseObservations
         The validated edge list: n items, m labels, and the stored pairs
-        ii > jj (``obs.i``, ``obs.j``) with residues y; the operator is
-        (n m, n m).
+        i > j with residues y; the operator is (n m, n m) and keeps no
+        reference to the observations.
     h : ndarray, shape (m,)
-        Generator: block (ii[e], jj[e]) has entries h((y[e] - a + b) mod m)
-        and its mirror (jj[e], ii[e]) is the transpose.
+        Generator: block (i[e], j[e]) has entries h((y[e] - a + b) mod m)
+        and its mirror (j[e], i[e]) is the transpose.
     """
 
     def __init__(self, obs: PairwiseObservations, h):
@@ -87,32 +88,21 @@ class CirculantBlockMatrix:
             raise ValueError(f"generator must have shape ({obs.m},), got {h.shape}")
         self.n = obs.n
         self.m = obs.m
-        self.ii = obs.i
-        self.jj = obs.j
-        self.y = obs.y
         self.h = h
         # L_ij z_j = G roll(z_j, y_ij) and L_ji z_i = G^T roll(z_i, -y_ij), so
         # half s gathers every stored-orientation neighbour whose block needs
         # shift s, and the transpose of half (-s) mod m every mirrored one
         self._g = h[_circ_index(self.m).T]
-        self._halves = _shift_halves(self.n, self.m, self.ii, self.jj, self.y)
+        self._halves = _shift_halves(self.n, self.m, obs.i, obs.j, obs.y)
         self._transposes = [a.T for a in self._halves]
         for a, t in zip(self._halves, self._transposes):
             # scipy's transpose copies a slice under half its base
+            t.indices = a.indices
             t.data = a.data
 
     @property
     def shape(self):
         return (self.n * self.m, self.n * self.m)
-
-    @property
-    def n_edges(self) -> int:
-        return self.ii.size
-
-    @functools.cached_property
-    def cols(self) -> np.ndarray:
-        """First column of every stored block, shape (n_edges, m)."""
-        return self.h[(self.y[:, None] - np.arange(self.m)[None, :]) % self.m]
 
     def _apply(self, zb):
         """Product with blocks stacked in zb of shape (n, m) or (n, m, r)."""
@@ -153,17 +143,6 @@ class CirculantBlockMatrix:
     def rotate(self, x):
         """Every block of the (nm, r) columns x rolled by one residue."""
         return np.roll(np.reshape(x, (self.n, self.m, -1)), 1, axis=1).reshape(np.shape(x))
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        """Dense copy of block (a, b) for an observed pair, either orientation."""
-        if a == b:
-            raise KeyError("diagonal blocks are identically zero and not stored")
-        hi, lo = (a, b) if a > b else (b, a)
-        hits = np.flatnonzero((self.ii == hi) & (self.jj == lo))
-        if hits.size == 0:
-            raise KeyError(f"pair ({a}, {b}) not present")
-        blk = self.h[(self.y[hits[0]] - _circ_index(self.m)) % self.m]
-        return blk if a > b else blk.T
 
 
 def build(obs: PairwiseObservations, d: NoiseDistribution | None = None,

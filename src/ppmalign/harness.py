@@ -158,6 +158,7 @@ def run_trial(cfg: ExperimentConfig, n: int, param: float, cell_index: int,
         d = regularize(d, cfg.varsigma)
         obs = regularize_observations(obs, cfg.varsigma, s_reg)
     L = build(obs, d if form != "agreement" else None, form)
+    del obs  # the operator holds what the rest of the trial needs
     r = m - 1 if form == "debiased-loglik" else m
     r = max(r, cfg.policy.min_rank(m))
     fac = orthogonal_iteration(L, r=r, max_iters=cfg.init_iters, tol=_WARM_START_TOL, seed=s_init)

@@ -36,6 +36,9 @@ class NoiseDistribution:
             raise ValueError("pmf must be 1-d with m >= 2")
         if np.any(p < 0):
             raise ValueError("pmf entries must be nonnegative")
+        # before the sum, which entries near the float maximum would overflow
+        if np.any(p > 1):
+            raise ValueError("pmf entries must not exceed 1")
         if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"pmf must sum to 1, got {float(p.sum())!r}")
         p = p.copy()
@@ -77,7 +80,10 @@ def modified_gaussian(sigma: float, m: int) -> NoiseDistribution:
         raise ValueError(f"sigma must be positive, got {sigma}")
     half = (m - 1) // 2
     z = np.arange(-half, half + 1)
-    w = np.exp(-(z.astype(float) ** 2) / (2.0 * sigma**2))
+    # from (z / sigma)^2, as sigma^2 overflows or underflows at the ends of
+    # the float range; z / sigma is capped at 40, past which the weight is 0
+    t = np.abs(z) / np.maximum(sigma, np.abs(z) / 40.0)
+    w = np.exp(-0.5 * t * t)
     p = np.zeros(m)
     p[z % m] = w / w.sum()
     return NoiseDistribution(p)

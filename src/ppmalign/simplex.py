@@ -15,13 +15,19 @@ import math
 import numpy as np
 
 
-def project_rows(z):
-    """Row-wise simplex projection of an (n, m) array, vectorized."""
+def _blocks(z):
+    """z as a float (n, m) array of finite blocks, else ValueError."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected an (n, m) array of blocks")
     if not np.all(np.isfinite(z)):
         raise ValueError("cannot project blocks with non-finite entries")
+    return z
+
+
+def project_rows(z):
+    """Row-wise simplex projection of an (n, m) array, vectorized."""
+    z = _blocks(z)
     n, m = z.shape
     u = -np.sort(-z, axis=1)
     css = np.cumsum(u, axis=1)
@@ -60,4 +66,10 @@ def project_blockwise(z, mu):
         return round_rows(z)
     if not mu > 0:
         raise ValueError(f"scaling mu must be positive or inf, got {mu}")
-    return project_rows(np.asarray(z, dtype=float) * mu)
+    z = _blocks(z)
+    # P(mu z) is unchanged by a constant added to a row, so each row's maximum
+    # is moved to 0.  An entry 1/mu or more below it gets no mass; it is set
+    # to exactly -1 instead of scaled, so mu z is never formed, and a row whose
+    # top gap is at least 1/mu lands exactly on the vertex at its maximum
+    w = z - z.max(axis=1, keepdims=True)
+    return project_rows(np.multiply(w, mu, out=np.full_like(w, -1.0), where=w > -1.0 / float(mu)))

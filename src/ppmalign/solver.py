@@ -94,10 +94,6 @@ class ScalingPolicy:
     def over_sigma_m(cls, c: float = 20.0) -> "ScalingPolicy":
         return cls(c, "sigma_m")
 
-    @classmethod
-    def fixed(cls, value: float) -> "ScalingPolicy":
-        return cls(value)
-
     def min_rank(self, m: int) -> int:
         """Smallest factorization rank that exposes the needed sigma."""
         if self.sigma_ref is None:

@@ -1,8 +1,9 @@
 """Shared oracles for the test suite.
 
 The dense expansion below is deliberately independent of the package's
-matvec: blocks are materialized with scipy's circulant constructor and
-placed entry by entry, so agreement between the two paths is meaningful.
+operator: it reads only the observations and the generator, blocks are
+materialized with scipy's circulant constructor and placed entry by entry,
+so agreement between the two paths is meaningful.
 """
 
 import math
@@ -22,16 +23,45 @@ with warnings.catch_warnings():
         pass
 
 
-def dense_expansion(L) -> np.ndarray:
-    """Dense (nm, nm) copy of a circulant-block operator, built edge by edge."""
-    m = L.m
-    out = np.zeros((L.n * m, L.n * m))
-    for e in range(L.n_edges):
-        i, j = int(L.ii[e]), int(L.jj[e])
-        blk = sla.circulant(L.cols[e])
+def dense_expansion(obs, h) -> np.ndarray:
+    """Dense (nm, nm) circulant-block matrix of observations and a generator,
+    built edge by edge: block (i, j) has entries h((y - a + b) mod m)."""
+    m = obs.m
+    out = np.zeros((obs.n * m, obs.n * m))
+    for e in range(obs.n_edges):
+        i, j = int(obs.i[e]), int(obs.j[e])
+        blk = _circulant(h, int(obs.y[e]))
         out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
         out[j * m:(j + 1) * m, i * m:(i + 1) * m] = blk.T
     return out
+
+
+def circulant_block(obs, h, a, b) -> np.ndarray:
+    """Block (a, b) of the circulant-block matrix of observations and a
+    generator, mirrored for a < b; the twin of ``match_block``.
+
+    Raises KeyError for an unobserved pair, self-pairs included.
+    """
+    hi, lo = (a, b) if a > b else (b, a)
+    hits = np.flatnonzero((obs.i == hi) & (obs.j == lo))
+    if hits.size == 0:
+        raise KeyError(f"pair ({a}, {b}) not observed")
+    blk = _circulant(h, int(obs.y[hits[0]]))
+    return blk if a > b else blk.T
+
+
+def _circulant(h, y) -> np.ndarray:
+    """The block of residue y: scipy's circulant of h((y - a) mod m)."""
+    h = np.asarray(h, dtype=float)
+    return sla.circulant(h[(y - np.arange(h.size)) % h.size])
+
+
+def operator_block(L, a, b) -> np.ndarray:
+    """Block (a, b) of an operator, read through its products with unit columns."""
+    m = L.m
+    x = np.zeros((L.n * m, m))
+    x[b * m:(b + 1) * m] = np.eye(m)
+    return L.matmat(x)[a * m:(a + 1) * m]
 
 
 def dense_match_expansion(obs) -> np.ndarray:

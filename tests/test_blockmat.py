@@ -1,6 +1,8 @@
+import gc
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_expansion, entropy, expected_matrix, kl
+from conftest import circulant_block, dense_expansion, entropy, expected_matrix, kl, operator_block
 from ppmalign.blockmat import FORMS, CirculantBlockMatrix, build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.likelihood import (
@@ -60,10 +62,12 @@ def coo_reference_product(n, m, ii, jj, y, h, zb):
 class TestBuild:
     def test_agreement_single_pair_block(self):
         # one pair (2, 1) with y = 1, m = 3: block has ones where a - b = 1
-        L = build(edges(3, 3, [2], [1], [1]), None, "agreement")
+        obs = edges(3, 3, [2], [1], [1])
+        L = build(obs, None, "agreement")
         want = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(L.block(2, 1), want)
-        np.testing.assert_array_equal(L.block(1, 2), want.T)
+        np.testing.assert_array_equal(circulant_block(obs, L.h, 2, 1), want)
+        np.testing.assert_array_equal(operator_block(L, 2, 1), want)
+        np.testing.assert_array_equal(operator_block(L, 1, 2), want.T)
         # the block routes mass along the observed shift
         z = np.zeros((3, 3))
         z[1, 0] = 1.0  # e_0 at item 1
@@ -73,9 +77,10 @@ class TestBuild:
     def test_loglik_cols(self):
         rng = np.random.default_rng(0)
         L, x, d, obs = random_instance(rng, n=8, m=4)
-        for e in range(L.n_edges):
+        np.testing.assert_array_equal(L.h, np.log(d.p0))
+        for e in range(obs.n_edges):
             want = np.log(d.p0[(obs.y[e] - np.arange(4)) % 4])
-            np.testing.assert_allclose(L.cols[e], want)
+            np.testing.assert_allclose(operator_block(L, int(obs.i[e]), int(obs.j[e]))[:, 0], want)
 
     def test_loglik_affine_in_agreement_for_random_corruption(self):
         # log-likelihood block = log((1-pi0)/m) * ones + contrast * agreement
@@ -88,18 +93,17 @@ class TestBuild:
         Ll = build(obs, d, "loglik")
         base = math.log((1 - pi0) / m)
         contrast = math.log((1 + (m - 1) * pi0) / (1 - pi0))
-        np.testing.assert_allclose(
-            Ll.cols, base + contrast * La.cols, rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(Ll.h, base + contrast * La.h, rtol=1e-12, atol=1e-12)
 
     def test_debiased_blocks(self):
         rng = np.random.default_rng(2)
         Ld, x, d, obs = random_instance(rng, n=10, m=5, form="debiased-loglik")
         Ll = build(obs, d, "loglik")
-        # per-block entrywise sum is zero
-        np.testing.assert_allclose(Ld.cols.sum(axis=1), 0.0, atol=1e-12)
+        # per-block entrywise sum is zero, so every row of Ld sums to zero
+        np.testing.assert_allclose(Ld.h.sum(), 0.0, atol=1e-12)
+        np.testing.assert_allclose(Ld.matvec(np.ones((10, 5))), 0.0, atol=1e-12)
         # difference to the raw form is the same constant for every block
-        diff = Ll.cols - Ld.cols
+        diff = Ll.h - Ld.h
         np.testing.assert_allclose(diff, np.mean(np.log(d.p0)), atol=1e-12)
 
     def test_zero_mass_rejected(self):
@@ -126,8 +130,8 @@ class TestMatvec:
         rng = np.random.default_rng(seed)
         # small and large blocks, odd and even m
         m = int(rng.choice([2, 3, 5, 7, 8, 12, 16, 32]))
-        L, _, _, _ = random_instance(rng, m=m)
-        dense = dense_expansion(L)
+        L, _, _, obs = random_instance(rng, m=m)
+        dense = dense_expansion(obs, L.h)
         z = rng.standard_normal((L.n, L.m))
         want = (dense @ z.ravel()).reshape(L.n, L.m)
         got = L.matvec(z)
@@ -146,8 +150,8 @@ class TestMatvec:
 
     def test_ones_vector_gives_row_sums(self):
         rng = np.random.default_rng(78)
-        L, _, _, _ = random_instance(rng, n=12, m=4)
-        dense = dense_expansion(L)
+        L, _, _, obs = random_instance(rng, n=12, m=4)
+        dense = dense_expansion(obs, L.h)
         got = L.matvec(np.ones((L.n, L.m)))
         np.testing.assert_allclose(got.ravel(), dense.sum(axis=1), atol=1e-10)
 
@@ -167,7 +171,7 @@ class TestMatvec:
         d = NoiseDistribution((pmf + 0.01) / (1.0 + 0.01 * m))
         obs = sample_observations(rng.integers(1, m + 1, n), d, p_obs, seed=seed)
         L = build(obs, None if form == "agreement" else d, form)
-        dense = dense_expansion(L)
+        dense = dense_expansion(obs, L.h)
         z = rng.standard_normal((n, m))
         w = rng.standard_normal((n, m))
         Lz = L.matvec(z)
@@ -238,9 +242,10 @@ class TestMatvec:
         perm = rng.permutation(ii.size)
         d = NoiseDistribution(rng.dirichlet(np.ones(m) * 5.0))
         d = None if form == "agreement" else d
-        ordered = build(edges(n, m, ii, jj, y), d, form)
+        obs = edges(n, m, ii, jj, y)
+        ordered = build(obs, d, form)
         permuted = build(edges(n, m, ii[perm], jj[perm], y[perm]), d, form)
-        dense = dense_expansion(ordered)
+        dense = dense_expansion(obs, ordered.h)
         scale = max(1.0, np.abs(dense).sum(axis=1).max())
         z = rng.standard_normal((n, m))
         X = rng.standard_normal((n * m, 3))
@@ -253,15 +258,49 @@ class TestMatvec:
     def test_shifts_share_one_array_of_ones(self):
         # equal labels and mostly uncorrupted pairs leave shifts 1..4 far under
         # half of shift 0's entries, where scipy would copy a slice of the
-        # ones, both for the stored halves and for their transposed views
+        # ones and of the indices, both for the stored halves and for their
+        # transposed views.  The indices of all of them are slices of one
+        # conversion's output
         obs = sample_observations(np.ones(60, dtype=int), random_corruption(0.9, 5), 1.0, seed=4)
         L = build(obs)
         sizes = [a.nnz for a in L._halves]
         assert 2 * min(sizes) < max(sizes)
         ones = L._halves[int(np.argmax(sizes))].data
+        indices = L._halves[0].indices.base
+        assert indices is not None and indices.size == sum(sizes)
         for a in L._halves + L._transposes:
             assert np.shares_memory(a.data, ones) and a.data.flags.writeable
             np.testing.assert_array_equal(a.data, 1.0)
+            assert np.shares_memory(a.indices, indices)
+
+    def test_live_bytes_per_pair_without_the_observations(self):
+        # once the observations are dropped, only the operator stays live:
+        # one int32 index per pair and the shared ones, as long as the
+        # fullest half, about 8 B per pair at m = 2.  A kept edge list would
+        # add 12 B, and copies of the shorter halves' indices about 2 B
+        n, m = 20_000, 2
+        x = np.random.default_rng(5).integers(1, m + 1, n)
+        d = random_corruption(0.5, m)
+        tracemalloc.start()
+        try:
+            obs = sample_observations(x, d, 20 * math.log(n) / n, seed=6)
+            pairs = obs.n_edges
+            L = build(obs, d, "agreement")
+            del obs
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live / pairs < 9
+
+    def test_operator_keeps_no_reference_to_the_observations(self):
+        obs = sample_observations(np.arange(1, 31) % 3 + 1, random_corruption(0.7, 3), 0.5, seed=2)
+        refs = [weakref.ref(obs), weakref.ref(obs.i), weakref.ref(obs.j), weakref.ref(obs.y)]
+        L = build(obs)
+        del obs
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert {name for name in dir(L) if not name.startswith("_")} == {
+            "n", "m", "h", "shape", "matvec", "matmat", "rotate"}
 
     def test_sample_and_build_peak_bytes_per_edge(self):
         # the sampler sets the overall peak, about 24 B per pair.  The build
@@ -357,7 +396,7 @@ class TestExpectedMatrix:
         sq = np.zeros_like(acc)
         for r in range(reps):
             obs = sample_observations(x, d, p_obs, seed=r)
-            dense = dense_expansion(build(obs, d, "loglik"))
+            dense = dense_expansion(obs, build(obs, d, "loglik").h)
             acc += dense
             sq += dense**2
         mean = acc / reps
@@ -378,8 +417,8 @@ class TestSigmaAndSeparation:
 
     def test_matches_dense_svd(self):
         rng = np.random.default_rng(6)
-        L, _, _, _ = random_instance(rng, n=20, m=3, p_obs=1.0, form="agreement")
-        svals = np.linalg.svd(dense_expansion(L), compute_uv=False)
+        L, _, _, obs = random_instance(rng, n=20, m=3, p_obs=1.0, form="agreement")
+        svals = np.linalg.svd(dense_expansion(obs, L.h), compute_uv=False)
         np.testing.assert_allclose(orthogonal_iteration(L, r=2).S, svals[:2], rtol=1e-6)
 
     def test_zero_matrix(self):

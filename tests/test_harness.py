@@ -1,10 +1,19 @@
+import contextlib
+import gc
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ppmalign.harness as harness
 from ppmalign.exceptions import ConfigError
@@ -111,7 +120,7 @@ class TestMuSpec:
         assert parse_mu_spec("inf") == ScalingPolicy.infinite()
         assert parse_mu_spec("10/sigma2") == ScalingPolicy.over_sigma2(10.0)
         assert parse_mu_spec("20/sigmam") == ScalingPolicy.over_sigma_m(20.0)
-        assert parse_mu_spec("3.5") == ScalingPolicy.fixed(3.5)
+        assert parse_mu_spec("3.5") == ScalingPolicy(3.5)
         assert parse_mu_spec(" INF ") == ScalingPolicy.infinite()
 
     def test_errors(self):
@@ -184,6 +193,27 @@ class TestRuns:
                             lambda *a, **kw: (tols.append(kw["tol"]), factor(*a, **kw))[1])
         run_trial(ExperimentConfig(), 30, 0.2, cell_index=0, trial=0)
         assert tols == [_WARM_START_TOL]
+
+    def test_observations_dropped_before_factorizing(self, monkeypatch):
+        # the operator holds what the trial needs, so the observations are
+        # freed before the factorization, the longest stage, starts
+        refs = []
+        sample, factor = harness.sample_observations, harness.orthogonal_iteration
+
+        def sample_and_watch(*a, **kw):
+            obs = sample(*a, **kw)
+            refs.extend((weakref.ref(obs), weakref.ref(obs.i)))
+            return obs
+
+        def factor_after_drop(*a, **kw):
+            gc.collect()
+            assert refs and all(ref() is None for ref in refs)
+            return factor(*a, **kw)
+
+        monkeypatch.setattr(harness, "sample_observations", sample_and_watch)
+        monkeypatch.setattr(harness, "orthogonal_iteration", factor_after_drop)
+        rep, _ = run_trial(ExperimentConfig(m=3), 30, 0.8, cell_index=0, trial=0)
+        assert rep.final_mcr == 0.0
 
     def test_sweep_covers_grid(self):
         cfg = ExperimentConfig(n_grid=(20, 30), param_grid=(0.9, 0.5), m=3,
@@ -446,3 +476,98 @@ class TestCli:
             assert res.stderr.startswith("error:"), argv
             assert len(res.stderr.splitlines()) == 1, argv
             assert "Traceback" not in res.stderr, argv
+
+
+# valid small runs, one per subcommand and noise model, as flag -> value;
+# --config and --obs, when present, name a file of the drawn bytes
+_FUZZ_BASES = (
+    ("align", {"--n": "20", "--m": "3", "--pi0": "0.6", "--iters": "3"}),
+    ("align", {"--model": "modified_gaussian", "--n": "12", "--m": "5", "--sigma": "1.5",
+               "--iters": "3"}),
+    ("align", {"--model": "custom_p0", "--n": "12", "--m": "2", "--p0": "0.7,0.3",
+               "--iters": "3"}),
+    ("sweep", {"--n": "10,12", "--m": "2", "--pi0": "0.6,0.9", "--trials": "2",
+               "--iters": "3"}),
+    ("match", {"--n": "6", "--m": "3", "--iters": "3"}),
+    ("match", {"--n": "4", "--m": "2", "--iters": "2", "--obs": None}),
+    ("thresholds", {"--n": "10,100"}),
+)
+_RUN_FLAGS = ("--n", "--m", "--pobs", "--pi0", "--sigma", "--p0", "--mu", "--form", "--iters",
+              "--seed", "--model", "--config")
+_FUZZ_FLAGS = {
+    "align": _RUN_FLAGS,
+    "sweep": _RUN_FLAGS + ("--trials",),
+    "match": ("--n", "--m", "--corrupt", "--seed", "--iters", "--obs"),
+    "thresholds": ("--n", "--m", "--pobs"),
+}
+# None drops a flag
+_FUZZ_VALUES = (
+    None, "inf", "-inf", "nan", "1e308", "-1e308", "1e-320", "5e-324", "", "0", "-1", "1", "2",
+    "3", "0.5", "1.5", "0.5,0.5", "0.2,0.3,0.5", "1e308,1e308", "0.5,nan", "inf,0", ",", "2,3",
+    "inf/sigma2", "1e308/sigmam", "1e-320/sigma2", "5/sigmam", "/sigmam", "1/sigma", "2/",
+    "nan/sigmam", "x", "gauss", "raw", "agreement", "debiased-loglik", "random_corruption",
+    "modified_gaussian", "custom_p0",
+)
+_CONFIG_LINES = st.tuples(
+    st.sampled_from(sorted(set(harness._CONFIG_KEYS) - {"out"})),
+    st.sampled_from([v for v in _FUZZ_VALUES if v is not None]),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+_OBS_LINES = st.lists(st.sampled_from(("0", "1", "2", "3", "-1", "nan", "inf", "1e308",
+                                       "5e-324", "x", "")), min_size=5, max_size=5).map(",".join)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(_CONFIG_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode()),
+    st.lists(_OBS_LINES, max_size=6).map(lambda ls: "\n".join(["i,j,row,col,value"] + ls).encode()),
+)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    base = draw(st.integers(0, len(_FUZZ_BASES) - 1))
+    flags = _FUZZ_FLAGS[_FUZZ_BASES[base][0]]
+    changes = draw(st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(_FUZZ_VALUES)),
+                            min_size=1, max_size=2, unique_by=lambda c: c[0]))
+    return base, tuple(changes), draw(_FILE_BYTES)
+
+
+def _cli_in_process(argv):
+    """Exit status and stderr of ``cli.main``, with every warning an error."""
+    import ppmalign.cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            status = ppmalign.cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, err.getvalue()
+
+
+class TestCliFuzz:
+    # the examples are the inputs that once ended in a traceback: a projection
+    # scaled past the float range, a Gaussian width whose square overflows or
+    # underflows, and a pmf whose sum overflows
+    @settings(max_examples=300, deadline=None)
+    @example(case=(0, (("--mu", "1e308"),), b""))
+    @example(case=(0, (("--mu", "1e308/sigmam"),), b""))
+    @example(case=(1, (("--sigma", "1e308"),), b""))
+    @example(case=(1, (("--sigma", "5e-324"),), b""))
+    @example(case=(2, (("--p0", "1e308,1e308"),), b""))
+    @given(case=_fuzz_cases())
+    def test_exit_0_or_one_error_line(self, case):
+        base, changes, blob = case
+        command, flags = _FUZZ_BASES[base]
+        flags = {**flags, **dict(changes)}
+        with tempfile.TemporaryDirectory() as tmp:
+            for flag in ("--config", "--obs"):
+                if flag in flags:
+                    path = os.path.join(tmp, flag[2:])
+                    with open(path, "wb") as fh:
+                        fh.write(blob)
+                    flags[flag] = path
+            argv = [command] + [f"{k}={v}" for k, v in flags.items() if v is not None]
+            status, err = _cli_in_process(argv)
+        assert status == 0 or (status == 2 and err.startswith("error:")
+                               and len(err.splitlines()) == 1), (argv, status, err)

@@ -1,13 +1,22 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entropy, hellinger_sq, kl, per_pair_sample_observations, total_variation
+from conftest import (
+    circulant_block,
+    entropy,
+    hellinger_sq,
+    kl,
+    operator_block,
+    per_pair_sample_observations,
+    total_variation,
+)
 from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.matching import MatchObservations, sample_match_observations
@@ -59,6 +68,22 @@ class TestDistributions:
         with pytest.raises(ValueError):
             modified_gaussian(0.0, 5)
 
+    @pytest.mark.parametrize("sigma", [1e155, 1e200, 1e308, np.float64(1e308), math.inf])
+    def test_modified_gaussian_huge_sigma_is_uniform(self, sigma):
+        # sigma^2 overflows here, and raised OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = modified_gaussian(sigma, 5)
+        np.testing.assert_array_equal(d.p0, np.full(5, 0.2))
+
+    @pytest.mark.parametrize("sigma", [0.02, 1e-160, 1e-300, 1e-320, 5e-324, np.float64(5e-324)])
+    def test_modified_gaussian_tiny_sigma_is_a_point_mass(self, sigma):
+        # sigma^2 underflows to 0 here, and the weights came out nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = modified_gaussian(sigma, 7)
+        np.testing.assert_array_equal(d.p0, np.eye(7)[0])
+
     def test_custom_distribution_validation(self):
         with pytest.raises(ValueError):
             NoiseDistribution(np.array([0.5, 0.6]))
@@ -66,6 +91,14 @@ class TestDistributions:
             NoiseDistribution(np.array([1.2, -0.2]))
         d = NoiseDistribution(np.array([0.2, 0.5, 0.3]))
         assert d.m == 3 and d.min_mass == 0.2
+
+    @pytest.mark.parametrize("p0", [[1e308, 1e308], [1.5, 1e308, 0.0], [np.inf, 0.0]])
+    def test_entry_above_one_rejected_before_the_sum(self, p0):
+        # the sum of [1e308, 1e308] overflows, which is a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must not exceed 1"):
+                NoiseDistribution(np.array(p0))
 
     def test_regularize(self):
         d = random_corruption(1.0, 4)  # degenerate: all mass on 0
@@ -190,12 +223,12 @@ class TestLoglikBlock:
         L = build(obs, d, "loglik")
         for e in range(obs.n_edges):
             i, j, y = int(obs.i[e]), int(obs.j[e]), int(obs.y[e])
-            blk = L.block(i, j)
+            blk = operator_block(L, i, j)
             for a in range(3):
                 for b in range(3):
                     assert blk[a, b] == math.log(d.p0[(y - a + b) % 3])
-            # circulant: the stored first column generates the block
-            np.testing.assert_array_equal(blk[:, 0], L.cols[e])
+            # circulant: the generator's first column generates the block
+            np.testing.assert_array_equal(blk, circulant_block(obs, L.h, i, j))
 
     def test_zero_mass_raises_with_residue(self):
         d = random_corruption(1.0, 3)  # zero mass off 0
@@ -232,8 +265,9 @@ class TestObservations:
         a, b = np.indices((4, 4))
         for e in range(obs.n_edges):
             i, j = int(obs.i[e]), int(obs.j[e])
-            np.testing.assert_array_equal(L.block(i, j), (a - b) % 4 == obs.y[e])
-            np.testing.assert_array_equal(L.block(j, i), (a - b) % 4 == (4 - obs.y[e]) % 4)
+            np.testing.assert_array_equal(operator_block(L, i, j), (a - b) % 4 == obs.y[e])
+            np.testing.assert_array_equal(operator_block(L, j, i),
+                                          (a - b) % 4 == (4 - obs.y[e]) % 4)
 
     def test_sampling_rate(self):
         x = np.ones(60, dtype=int)
@@ -369,7 +403,8 @@ class TestEdgeList:
 
     def test_lists_accepted(self):
         obs = PairwiseObservations(n=3, m=3, i=[2, 1], j=[0, 0], y=[1, 2])
-        np.testing.assert_array_equal(build(obs).block(2, 0), build(obs).block(0, 2).T)
+        L = build(obs)
+        np.testing.assert_array_equal(operator_block(L, 2, 0), operator_block(L, 0, 2).T)
         assert obs.i.dtype == obs.j.dtype == obs.y.dtype == np.int32
 
     @pytest.mark.parametrize("text, line", [

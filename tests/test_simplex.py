@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -102,6 +104,43 @@ class TestRounding:
             mu = 2.0 / gap
             np.testing.assert_array_equal(project_blockwise(v[None, :], mu),
                                           round_rows(v[None, :]))
+
+    @pytest.mark.parametrize("mu", [1e15, 1e80, 1e200, 1e308, np.float64(1e308)])
+    def test_huge_mu_lands_on_the_vertex(self, mu):
+        # mu z was formed before: at 1e15 the cumulative sum rounded and the
+        # row left the simplex, from 1e80 on it overflowed
+        z = np.array([[20.0, 3.0, 1.0], [-5.0, 7.0, 7.0 - 1e-9], [1.0, -3.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project_blockwise(z, mu)
+        np.testing.assert_array_equal(got[:2], round_rows(z[:2]))
+        # a tie at the top splits the mass at any scale
+        np.testing.assert_array_equal(got[2], [0.5, 0.0, 0.5])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vertex_rule_at_every_scale(self, seed):
+        # the vertex exactly when the top gap is at least 1/mu, else a point of
+        # the simplex off every vertex; the same projection as unscaled math
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((200, int(rng.integers(2, 9))))
+        u = -np.sort(-z, axis=1)
+        gap = u[:, 0] - u[:, 1]
+        for mu in 10.0 ** rng.uniform(-3, 308, 8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = project_blockwise(z, mu)
+            assert np.all(got >= 0) and np.allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            vertex = gap >= 1.0 / mu
+            np.testing.assert_array_equal(got[vertex], round_rows(z[vertex]))
+            assert np.all(got[~vertex].max(axis=1) < 1.0)
+            if mu < 1e6:
+                want = np.stack([project_simplex(mu * row) for row in z])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_tiny_mu_gives_the_barycenter(self):
+        for mu in (1e-300, 5e-324):
+            np.testing.assert_array_equal(project_blockwise(np.array([[2.0, 1.0, -3.0]]), mu),
+                                          np.full((1, 3), 1 / 3))
 
     def test_small_mu_keeps_mass_spread(self):
         # mu below 1/gap cannot concentrate everything on one vertex

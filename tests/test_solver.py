@@ -98,7 +98,7 @@ class TestMetrics:
 class TestScalingPolicy:
     def test_resolve_infinite_and_fixed(self):
         assert math.isinf(ScalingPolicy.infinite().resolve_mu(None, 5))
-        assert ScalingPolicy.fixed(2.5).resolve_mu(None, 5) == 2.5
+        assert ScalingPolicy(2.5).resolve_mu(None, 5) == 2.5
 
     def test_resolve_relative(self):
         sig = np.array([100.0, 5.0, 4.0])
@@ -117,7 +117,7 @@ class TestScalingPolicy:
         assert ScalingPolicy.infinite().min_rank(7) == 1
         assert ScalingPolicy.over_sigma2().min_rank(7) == 2
         assert ScalingPolicy.over_sigma_m().min_rank(7) == 7
-        assert ScalingPolicy.fixed(1.0).min_rank(7) == 1
+        assert ScalingPolicy(1.0).min_rank(7) == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestScalingPolicy:
         with pytest.raises(ValueError):
             ScalingPolicy(-1.0, "sigma2")
         with pytest.raises(ValueError):
-            ScalingPolicy.fixed(0.0)
+            ScalingPolicy(0.0)
         with pytest.raises(ValueError):
             ScalingPolicy(math.nan)
         with pytest.raises(ValueError):
@@ -140,7 +140,7 @@ class TestScalingPolicy:
           ScalingPolicy(10.0, "sigma2")), 2, 2.0),
         ((ScalingPolicy.over_sigma_m(20.0), parse_mu_spec("20/sigmam"),
           ScalingPolicy(20.0, "sigma_m")), 3, 5.0),
-        ((ScalingPolicy.fixed(3.5), parse_mu_spec("3.5"), ScalingPolicy(3.5)), 1, 3.5),
+        ((ScalingPolicy(3.5), parse_mu_spec("3.5")), 1, 3.5),
         ((ScalingPolicy.over_sigma2(math.inf), parse_mu_spec("inf/sigma2"),
           ScalingPolicy(math.inf, "sigma2")), 2, math.inf),
     ])
@@ -193,7 +193,7 @@ class TestSolve:
 
     def test_finite_mu_stall_detection(self):
         L, x = make_instance(64, 3, 1.0, seed=7)
-        rep = solve(L, lift(x, 3), ScalingPolicy.fixed(100.0), T=50, truth=x)
+        rep = solve(L, lift(x, 3), ScalingPolicy(100.0), T=50, truth=x)
         assert rep.converged
         assert rep.final_mcr == 0.0
 
@@ -318,7 +318,7 @@ class TestRepeatedIterate:
     @pytest.mark.parametrize("mu,t_repeat", [(math.inf, 6), (2.0, 5)])
     def test_two_cycle_stops_products_at_the_repeat(self, mu, t_repeat):
         L, x, z0 = orbit_instance(0, 16, 3, 0.35, 1.0)
-        policy = ScalingPolicy.infinite() if math.isinf(mu) else ScalingPolicy.fixed(mu)
+        policy = ScalingPolicy.infinite() if math.isinf(mu) else ScalingPolicy(mu)
         finals = set()
         for left in (3, 4):
             op = CountingOp(L)

@@ -57,11 +57,15 @@ def with_spectrum(lam, seed):
 CLUSTERED = np.diag(np.r_[1.0, 0.999, 0.998, np.linspace(0.1, 0.99, 200)])
 
 
-def recovery_instance(n, m, pi0, seed):
+def recovery_observations(n, m, pi0, seed):
     rng = np.random.default_rng(seed)
     x = rng.integers(1, m + 1, n)
-    obs = sample_observations(x, random_corruption(pi0, m), 1.0,
-                              seed=int(rng.integers(2**32)))
+    return sample_observations(x, random_corruption(pi0, m), 1.0,
+                               seed=int(rng.integers(2**32))), x
+
+
+def recovery_instance(n, m, pi0, seed):
+    obs, x = recovery_observations(n, m, pi0, seed)
     return build(obs, None, "agreement"), x
 
 
@@ -78,15 +82,17 @@ class TestOrthogonalIteration:
 
     def test_top_singular_values_match_dense(self):
         # strong-signal instance: the subspace boundary gap is healthy
-        L, _ = recovery_instance(60, 2, 0.7, seed=2)
-        svals = np.linalg.svd(dense_expansion(L), compute_uv=False)
+        obs, _ = recovery_observations(60, 2, 0.7, seed=2)
+        L = build(obs, None, "agreement")
+        svals = np.linalg.svd(dense_expansion(obs, L.h), compute_uv=False)
         fac = orthogonal_iteration(L, r=2, seed=3)
         np.testing.assert_allclose(fac.S, svals[:2], rtol=1e-6)
 
     def test_best_rank_r_approximation(self):
         # Frobenius error matches the optimal truncation from a dense SVD
-        L, _ = recovery_instance(64, 4, 0.7, seed=4)
-        dense = dense_expansion(L)
+        obs, _ = recovery_observations(64, 4, 0.7, seed=4)
+        L = build(obs, None, "agreement")
+        dense = dense_expansion(obs, L.h)
         u, s, vt = np.linalg.svd(dense)
         r = 4
         opt = np.linalg.norm(dense - (u[:, :r] * s[:r]) @ vt[:r], "fro")
@@ -253,7 +259,7 @@ def circulant_instance(n, m, p_obs, form, seed):
     x = rng.integers(1, m + 1, n)
     d = NoiseDistribution(rng.dirichlet(np.full(m, 5.0)))
     obs = sample_observations(x, d, p_obs, seed=seed)
-    return build(obs, None if form == "agreement" else d, form)
+    return build(obs, None if form == "agreement" else d, form), obs
 
 
 class TestAgainstEigh:
@@ -274,15 +280,15 @@ class TestAgainstEigh:
            p_obs=st.floats(0.2, 1.0), form=st.sampled_from(["agreement", "loglik"]),
            r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_circulant_blocks(self, n, m, p_obs, form, r, seed):
-        L = circulant_instance(n, m, p_obs, form, seed)
-        assert_matches_eigh(L, dense_expansion(L), min(r, n * m), seed)
+        L, obs = circulant_instance(n, m, p_obs, form, seed)
+        assert_matches_eigh(L, dense_expansion(obs, L.h), min(r, n * m), seed)
 
     @pytest.mark.parametrize("n, r", [(5, 4), (6, 6)])
     def test_complete_graph_at_warm_start_tol(self, n, r):
         # the complete-graph examples above at the pipeline's tolerance,
         # where the main solve stops before its basis fills
-        L = circulant_instance(n, 5, 1.0, "loglik", 0)
-        assert_matches_eigh(L, dense_expansion(L), r, 0, tol=_WARM_START_TOL)
+        L, obs = circulant_instance(n, 5, 1.0, "loglik", 0)
+        assert_matches_eigh(L, dense_expansion(obs, L.h), r, 0, tol=_WARM_START_TOL)
 
     # the first example needs the look to fill its basis: after 3 columns its
     # Ritz value lies below the floor, under a missed copy of 1.956 above
