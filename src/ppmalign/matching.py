@@ -8,6 +8,12 @@ stacked (nm, m) matrices; the estimate is defined up to one global
 relabeling of features, mirroring the global cyclic shift of the alignment
 problem.
 
+All n blocks of an iterate are projected in one call: one assignment solve
+per block, then the dual prices and the certificate that the solve is the
+unique optimum for the whole stack at once, as (n, m, m) array operations.
+Only the blocks the certificate cannot settle go to the per-block
+tie-break.
+
 Permutations are represented as 0-based index arrays p of length m, with
 matrix form P[a, p[a]] = 1.
 """
@@ -33,84 +39,108 @@ def lap_project(score) -> np.ndarray:
 
     Among all maximizers, returns the lexicographically smallest index
     array, fixing rows in order and preferring smaller columns whenever an
-    optimal completion still exists.
-
-    One assignment solve settles the common case: when dual prices show
-    every other permutation worse by more than the tie tolerance, that
-    solve is the answer.  Otherwise rows are fixed greedily, with one
-    sub-assignment per candidate column the prices cannot rule out, up to
-    the column the last admitted completion already uses.
+    optimal completion still exists.  This is the one-block case of
+    ``_assign``: one assignment solve, certified unique by dual prices
+    when it can be, and otherwise a tie-break by sub-assignments.
     """
     score = np.asarray(score, dtype=float)
-    m = score.shape[0]
-    if score.ndim != 2 or score.shape != (m, m):
+    if score.ndim != 2 or score.shape[0] != score.shape[1]:
         raise ValueError("score must be square")
-    if not np.all(np.isfinite(score)):
+    return _assign(score[None])[0]
+
+
+def _assign(blocks) -> np.ndarray:
+    """The best permutation of every (m, m) score block, stacked (n, m).
+
+    Each block gets the answer ``lap_project`` documents.  One assignment
+    solve per block settles the common case: when dual prices show every
+    other permutation worse by more than the tie tolerance, that solve is
+    the answer.  The prices and that certificate are computed for all
+    blocks at once.  Each remaining block has its rows fixed greedily, with
+    one sub-assignment per candidate column its prices cannot rule out, up
+    to the column the last admitted completion already uses.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    n, m = blocks.shape[:2]
+    if not np.all(np.isfinite(blocks)):
         raise ValueError("score must be finite")
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    best = float(score[rows, cols].sum())
-    tol = _LAP_TOL * max(1.0, abs(best))
+    out = np.empty((n, m), dtype=np.int64)
+    for k in range(n):
+        out[k] = linear_sum_assignment(blocks[k], maximize=True)[1]
+    own = np.take_along_axis(blocks, out[:, :, None], axis=2)[:, :, 0]
+    best = own.sum(axis=1)
+    tol = _LAP_TOL * np.maximum(1.0, np.abs(best))
     # bound on the rounding in the sums below and in the tie-break's own
-    slack = 8.0 * m * m * np.finfo(float).eps * float(np.abs(score).max())
-    duals = _dual_prices(score, cols, slack)
-    if (duals is not None and (m + 2) * slack < tol
-            and _sole_near_optimum(score, cols, duals, 2.0 * tol + slack)):
-        return cols.astype(np.int64)
-    return _lex_first_assignment(score, best, tol, duals, margin=4.0 * m * slack)
+    slack = 8.0 * m * m * np.finfo(float).eps * np.abs(blocks).max(axis=(1, 2), initial=0.0)
+    u, v, priced = _dual_prices(blocks, out, own, slack)
+    sole = priced & ((m + 2) * slack < tol)
+    sole[sole] = _sole_near_optimum(blocks[sole], out[sole], u[sole], v[sole],
+                                    2.0 * tol[sole] + slack[sole])
+    for k in np.flatnonzero(~sole):
+        out[k] = _lex_first_assignment(blocks[k], best[k], tol[k],
+                                       (u[k], v[k]) if priced[k] else None,
+                                       margin=4.0 * m * slack[k])
+    return out
 
 
-def _dual_prices(score, sigma, slack: float):
-    """Prices (u, v) with u[r] + v[c] >= score[r, c] - slack, tight on sigma.
+def _dual_prices(blocks, sigma, own, slack):
+    """Prices (u, v) per block with u[r] + v[c] >= score[r, c] - slack,
+    tight on sigma, and whether each block has them.
 
     Any other permutation moves the rows of sigma along disjoint cycles
     over columns; moving row(c) from column c to c' loses
-    W[c, c'] = score[row(c), c] - score[row(c), c'].  Bellman-Ford
-    potentials d of that graph give v = -d and u = score[r, sigma[r]] +
-    d[sigma[r]].  Returns None when the potentials do not settle within m
-    sweeps or the prices are infeasible beyond slack, which both mean
-    sigma is optimal only up to rounding.
+    W[c, c'] = score[row(c), c] - score[row(c), c'], with own[r] =
+    score[r, sigma[r]].  Bellman-Ford potentials d of that graph give
+    v = -d and u = own + d[sigma].  A block has no prices when its
+    potentials still change after m sweeps or its prices are infeasible
+    beyond slack, which both mean sigma is optimal only up to rounding.
     """
-    m = sigma.size
-    own = score[np.arange(m), sigma]
-    w = np.empty((m, m))
-    w[sigma] = own[:, None] - score
-    d = np.zeros(m)
+    n, m = sigma.shape
+    w = np.empty_like(blocks)
+    w[np.arange(n)[:, None], sigma] = own[:, :, None] - blocks
+    d = np.zeros((n, m))
+    live, cur = np.arange(n), d  # blocks whose potentials still change
     for _ in range(m):
-        nxt = np.minimum(d, (d[:, None] + w).min(axis=0))
-        if np.array_equal(nxt, d):
+        nxt = np.minimum(cur, (cur[:, :, None] + w).min(axis=1))
+        moved = (nxt != cur).any(axis=1)
+        live, cur, w = live[moved], nxt[moved], w[moved]
+        d[live] = cur
+        if live.size == 0:
             break
-        d = nxt
-    else:
-        return None
-    u = own + d[sigma]
+    u = own + np.take_along_axis(d, sigma, axis=1)
     v = -d
-    if (u[:, None] + v[None, :] - score).min() < -slack:
-        return None
-    return u, v
+    reduced = u[:, :, None] + v[:, None, :] - blocks
+    priced = ~(reduced.min(axis=(1, 2), initial=np.inf) < -slack)
+    priced[live] = False
+    return u, v, priced
 
 
-def _sole_near_optimum(score, sigma, duals, thr: float) -> bool:
-    """Whether every permutation other than sigma loses more than thr.
+def _sole_near_optimum(blocks, sigma, u, v, thr) -> np.ndarray:
+    """Whether, in each block, every permutation other than sigma loses
+    more than thr.
 
     A cycle's loss is the sum of the reduced costs u[r] + v[c] - score[r, c]
     along it, all of them nonnegative up to rounding.  If the reduced costs
     at most thr form an acyclic graph over columns, every cycle crosses a
     costlier edge.
     """
-    u, v = duals
-    m = sigma.size
-    near = np.empty((m, m), dtype=bool)
-    near[sigma] = u[:, None] + v[None, :] - score <= thr  # edge sigma[r] -> c
-    np.fill_diagonal(near, False)
+    n, m = sigma.shape
+    near = np.empty(blocks.shape, dtype=bool)  # edge sigma[r] -> c
+    near[np.arange(n)[:, None], sigma] = (u[:, :, None] + v[:, None, :] - blocks
+                                          <= thr[:, None, None])
+    near[:, np.arange(m), np.arange(m)] = False
     # Kahn peeling: acyclic iff repeatedly dropping the columns no
     # remaining edge enters empties the graph
-    alive = np.ones(m, dtype=bool)
-    while alive.any():
-        sources = alive & ~near[alive].any(axis=0)
-        if not sources.any():
-            return False
+    acyclic = np.ones(n, dtype=bool)
+    live, alive = np.arange(n), np.ones((n, m), dtype=bool)  # graphs not yet emptied
+    while live.size:
+        sources = alive & ~(near & alive[:, :, None]).any(axis=1)
+        stuck = ~sources.any(axis=1)
+        acyclic[live[stuck]] = False
         alive &= ~sources
-    return True
+        keep = alive.any(axis=1) & ~stuck
+        live, alive, near = live[keep], alive[keep], near[keep]
+    return acyclic
 
 
 def _lex_first_assignment(score, best: float, tol: float, duals=None,
@@ -314,12 +344,15 @@ def _consistent_cols(truth, ii, jj) -> np.ndarray:
 
 def mismatch_rate(perms, truth) -> float:
     """Fraction of wrongly assigned (item, feature) pairs modulo one global
-    relabeling of features, chosen by a final assignment on match counts."""
+    relabeling of features, chosen by a final assignment on match counts;
+    0 when there is no pair to assign."""
     perms = np.asarray(perms, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if perms.shape != truth.shape or perms.ndim != 2:
         raise ValueError("perms and truth must both be (n, m)")
     n, m = perms.shape
+    if n * m == 0:
+        return 0.0
     counts = np.bincount(truth.ravel() * m + perms.ravel(), minlength=m * m).reshape(m, m)
     g = lap_project(counts)
     matched = counts[np.arange(m), g].sum()
@@ -363,11 +396,6 @@ class MatchReport:
             for a in range(m):
                 buf.write(f"{i},{a},{self.perms[i, a]}\n")
         return buf.getvalue()
-
-
-def _assign(blocks) -> np.ndarray:
-    """The best permutation of every (m, m) score block, stacked (n, m)."""
-    return np.stack([lap_project(b) for b in blocks])
 
 
 def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchReport:

@@ -14,6 +14,7 @@ from conftest import (
     dense_match_expansion,
     full_budget_match_solve,
     match_block,
+    per_block_lap_project,
     per_edge_sample_match_observations,
     perm_matrix,
 )
@@ -59,6 +60,35 @@ def brute_force_lap_within_tol(score):
     return np.array(perms[int(np.flatnonzero(vals >= cut)[0])])
 
 
+def scores_of_kind(rng, kind, m, eps=0.0):
+    """One (m, m) score of a kind:
+
+    - "ties": integers 0..2, so many permutations tie exactly;
+    - "near-ties": those integers nudged by multiples of eps;
+    - "large": integers between 1e6 and 1e7;
+    - "cancel": zero-mean entries of 0 or +-1e7 plus tenths, which cancel
+      in the sums;
+    - "unsettled": 0 or 1e7 plus 1e-9 noise, below the rounding at 1e7,
+      so the prices of many blocks still change after m sweeps;
+    - "continuous": standard normal, which the certificate mostly settles.
+    """
+    if kind == "ties":
+        return rng.integers(0, 3, (m, m)).astype(float)
+    if kind == "near-ties":
+        return rng.integers(0, 3, (m, m)) + eps * rng.integers(-2, 3, (m, m))
+    if kind == "large":
+        return rng.uniform(1e6, 1e7, (m, m)).round() + rng.integers(0, 2, (m, m))
+    if kind == "cancel":
+        return 1e7 * rng.integers(-1, 2, (m, m)) + 0.1 * rng.integers(0, 3, (m, m))
+    if kind == "unsettled":
+        return 1e7 * rng.integers(0, 2, (m, m)) + 1e-9 * rng.standard_normal((m, m))
+    return rng.standard_normal((m, m))
+
+
+KINDS = ("ties", "near-ties", "large", "cancel", "unsettled", "continuous")
+_NEAR_TIE_EPS = st.sampled_from((0.1, 0.5, 1.0, 2.0, 3.0))
+
+
 @st.composite
 def score_matrices(draw, max_m):
     """Square scores that stress the tie-break: integer ties, near-ties at
@@ -66,14 +96,21 @@ def score_matrices(draw, max_m):
     m = draw(st.integers(1, max_m), label="m")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     kind = draw(st.sampled_from(("ties", "near-ties", "large", "continuous")), label="kind")
-    if kind == "ties":
-        return rng.integers(0, 3, (m, m)).astype(float)
-    if kind == "near-ties":
-        eps = draw(st.sampled_from((0.1, 0.5, 1.0, 2.0, 3.0)), label="eps") * _LAP_TOL
-        return rng.integers(0, 3, (m, m)) + eps * rng.integers(-2, 3, (m, m))
-    if kind == "large":
-        return rng.uniform(1e6, 1e7, (m, m)).round() + rng.integers(0, 2, (m, m))
-    return rng.standard_normal((m, m))
+    eps = draw(_NEAR_TIE_EPS, label="eps") * _LAP_TOL if kind == "near-ties" else 0.0
+    return scores_of_kind(rng, kind, m, eps)
+
+
+@st.composite
+def score_stacks(draw):
+    """(k, m, m) stacks of one to eight blocks, each of its own kind; m = 1,
+    m = 20 and single blocks come up often."""
+    m = draw(st.one_of(st.sampled_from((1, 20)), st.integers(1, 20)), label="m")
+    kinds = draw(st.one_of(
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=1),
+        st.lists(st.sampled_from(KINDS), min_size=2, max_size=8)), label="kinds")
+    eps = draw(_NEAR_TIE_EPS, label="eps") * _LAP_TOL
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return np.stack([scores_of_kind(rng, kind, m, eps) for kind in kinds])
 
 
 def near_tie(seed):
@@ -124,6 +161,37 @@ class TestLapProject:
             lap_project(np.ones((2, 3)))
         with pytest.raises(ValueError):
             lap_project(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_scalar_score_is_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            lap_project(np.float64(1.0))
+
+    def test_empty_score_gives_empty_permutation(self):
+        got = lap_project(np.empty((0, 0)))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @settings(deadline=None)
+    @given(blocks=score_stacks())
+    @example(blocks=np.stack([near_tie(s) for s in (328, 454, 1122, 1769)]))
+    def test_batched_stack_matches_per_block_oracle(self, blocks):
+        got = matching._assign(blocks)
+        want = np.stack([per_block_lap_project(b) for b in blocks])
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+    def test_stack_kinds_reach_every_branch(self, monkeypatch):
+        # the kinds of ``score_stacks`` give blocks the certificate settles,
+        # blocks whose prices never settle and priced blocks it leaves to
+        # the tie-break
+        tie_breaks = []
+        lex = matching._lex_first_assignment
+        monkeypatch.setattr(matching, "_lex_first_assignment", lambda *args, **kw: (
+            tie_breaks.append(args[3] is not None), lex(*args, **kw))[1])
+        rng = np.random.default_rng(0)
+        for kind, want in (("continuous", set()), ("unsettled", {False}), ("ties", {True})):
+            tie_breaks.clear()
+            matching._assign(np.stack([scores_of_kind(rng, kind, 12) for _ in range(10)]))
+            assert want <= set(tie_breaks) if want else not tie_breaks, kind
 
     @settings(max_examples=300, deadline=None)
     @given(score=score_matrices(max_m=6))
@@ -205,6 +273,11 @@ class TestMismatchRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             mismatch_rate(np.zeros((3, 2), dtype=int), np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4)])
+    def test_nothing_to_assign_is_no_mismatch(self, shape):
+        empty = np.zeros(shape, dtype=np.int64)
+        assert mismatch_rate(empty, empty) == 0.0
 
 
 class TestObservations:
@@ -420,9 +493,12 @@ class TestMatchSolve:
         # criterion-7 instances, with and without the dual prices that
         # certify a single solve and prune the tie-break
         runs = []
+        prices = matching._dual_prices
         for priced in (True, False):
             if not priced:
-                monkeypatch.setattr(matching, "_dual_prices", lambda *args: None)
+                # every block goes to the tie-break, without prices
+                monkeypatch.setattr(matching, "_dual_prices", lambda *args: (
+                    *prices(*args)[:2], np.zeros(len(args[0]), dtype=bool)))
             reps = []
             for seed in range(4):
                 obs, truth = sample_match_observations(50, 10, 0.3, seed=seed)
@@ -461,14 +537,14 @@ class TestMatchSolve:
     def test_two_cycle_stops_products_at_the_repeat(self, monkeypatch):
         # without truth, each step projects n blocks and nothing else
         calls = []
-        lap = matching.lap_project
-        monkeypatch.setattr(matching, "lap_project", lambda s: (calls.append(1), lap(s))[1])
+        assign = matching._assign
+        monkeypatch.setattr(matching, "_assign", lambda b: (calls.append(len(b)), assign(b))[1])
         obs, _ = sample_match_observations(10, 4, 0.6, seed=8)
         finals = set()
         for T in (8, 9):
             calls.clear()
             rep = match_solve(obs, T=T, seed=8)
-            assert len(calls) == 10 * (1 + 5)
+            assert sum(calls) == 10 * (1 + 5)
             assert rep.iterations_run == T and not rep.converged
             finals.add(rep.perms.tobytes())
         assert len(finals) == 2
