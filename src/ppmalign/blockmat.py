@@ -15,6 +15,13 @@ All indices are slices of one array, and all data is one shared array of
 ones, as long as the fullest half: about 8 B per pair in all at m = 2 and
 int32.  A product costs O(E m r) for the residue-sorted sparse gathers
 plus O(n m^2 r) for the circulant; no m x m block is stored per pair.
+
+The build is one CSC-to-CSR conversion of the observations' stored
+pattern: their keys y n + i, in (j, i) order, are its row indices as
+they are, and their pointer over j its column pointer.  With the
+observations alive it peaks at about 12.6 B per pair at m = 2 and int32
+(the keys, the conversion's output and, after its boolean data is
+freed, the ones).
 """
 
 from __future__ import annotations
@@ -34,38 +41,41 @@ def _circ_index(m: int) -> np.ndarray:
     return (r[:, None] - r[None, :]) % m
 
 
-def _shift_halves(n: int, m: int, i, j, y) -> list:
+def _shift_halves(n: int, m: int, key, colptr) -> list:
     """The m stored halves of the factored product, one n x n CSR per shift.
 
-    Entry (i, j) of half y[e] counts the pair e.  The pairs come sorted by
-    (j, i), so with rows y n + i and columns j they already form a CSC
-    matrix, and one conversion to CSR gives every shift's half, n rows
-    each, with the columns of each row ascending.  The pairs are distinct,
-    so these are the canonical arrays a COO-to-CSR conversion would give,
-    without its sort or temporaries.  Their indices are slices of the
-    conversion's, and their data is one shared array of ones, as long as
-    the fullest half.
+    Entry (i, j) of half y counts the pair (i, j) with residue y.  The
+    observations keep each pair as the key y n + i under a pointer over
+    columns j, which is a CSC matrix of m n rows, so one conversion to CSR
+    gives every shift's half, n rows each, with the columns of each row
+    ascending.  The pairs are distinct, so these are the canonical arrays
+    a COO-to-CSR conversion would give, without its sort or temporaries.
+    The keys are the CSC indices as they are, uncopied.  The halves'
+    indices are slices of the conversion's, and their data is one shared
+    array of ones, as long as the fullest half.
     """
-    rows = y * n
-    rows += i
     # boolean data: the conversion's own copy of it costs a byte per pair
-    stored = sp.csc_matrix((np.ones(i.size, dtype=bool), rows,
-                            np.searchsorted(j, np.arange(n + 1, dtype=j.dtype))),
+    stored = sp.csc_matrix((np.ones(key.size, dtype=bool), key, colptr),
                            shape=(m * n, n)).tocsr()
-    del rows
-    bounds = stored.indptr[::n]
+    indptr, indices = stored.indptr, stored.indices
+    del stored  # and its boolean data, before the ones are made
+    bounds = indptr[::n]
     ones = np.ones(np.diff(bounds).max())
-    halves = []
-    for s in range(m):
-        lo, hi = bounds[s], bounds[s + 1]
-        a = sp.csr_matrix((ones[:hi - lo], stored.indices[lo:hi],
-                           stored.indptr[s * n:(s + 1) * n + 1] - lo), shape=(n, n))
-        # scipy copies a slice under half its base, so every half is given its
-        # views back; the cast copies only where scipy narrowed int64 indices
-        a.indices = stored.indices[lo:hi].astype(a.indices.dtype, copy=False)
-        a.data = ones[:hi - lo]
-        halves.append(a)
-    return halves
+    return [_holding(sp.csr_matrix, n, ones[:hi - lo], indices[lo:hi],
+                     indptr[s * n:(s + 1) * n + 1] - lo)
+            for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+
+
+def _holding(kind, n: int, data, indices, indptr):
+    """An n x n matrix of a compressed kind holding the very arrays given.
+
+    scipy's constructor, and so its transpose, copies an array that is a
+    slice under half its base; the arrays are set on an empty matrix
+    instead, so that no half and no mirror has a copy of its own.
+    """
+    a = kind((n, n))
+    a.data, a.indices, a.indptr = data, indices, indptr
+    return a
 
 
 class CirculantBlockMatrix:
@@ -93,12 +103,9 @@ class CirculantBlockMatrix:
         # half s gathers every stored-orientation neighbour whose block needs
         # shift s, and the transpose of half (-s) mod m every mirrored one
         self._g = h[_circ_index(self.m).T]
-        self._halves = _shift_halves(self.n, self.m, obs.i, obs.j, obs.y)
-        self._transposes = [a.T for a in self._halves]
-        for a, t in zip(self._halves, self._transposes):
-            # scipy's transpose copies a slice under half its base
-            t.indices = a.indices
-            t.data = a.data
+        self._halves = _shift_halves(self.n, self.m, obs.key, obs.colptr)
+        self._transposes = [_holding(sp.csc_matrix, self.n, a.data, a.indices, a.indptr)
+                            for a in self._halves]
 
     @property
     def shape(self):

@@ -10,6 +10,14 @@ matrix, and the choice of regularization.
 
 Divergences use natural log.  KL is +inf (a value, not an error) when the
 first argument puts mass where the second has none.
+
+Observed pairs are kept as one index-dtype key y n + i each, under a
+pointer over j, which is the operator's CSC input as it is.  The sampler
+works through the pairs in chunks of ``_CHUNK`` (2^16) pairs, so beside
+the keys it holds O(n + _CHUNK) memory.  Chunking keeps every output byte
+for byte because each draw reads the stream in order, and the chunks read
+it in the order whole-array draws would: every geometric block is drawn
+to its full size, surplus past the last pair included, before any noise.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 _INT64 = np.iinfo(np.int64)
+# pairs the samplers draw, unrank and give their noise at a time
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,31 +145,61 @@ def threshold_kl(n: int, p_obs: float) -> tuple[float, float]:
     return (4.01 * base, 3.99 * base)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, frozen=True, eq=False)
 class PairwiseObservations:
     """Observed pairwise differences on a random subset of pairs.
 
     Each sampled unordered pair is stored once with i > j; the mirrored
-    reading is y_ji = (m - y_ij) mod m.  Arrays ``i``, ``j``, ``y`` are
-    aligned, in the index dtype of ``_edge_list`` and sorted by (j, i),
-    which the operator build relies on; indices are 0-based, residues lie
-    in {0, ..., m-1}.
+    reading is y_ji = (m - y_ij) mod m.  A pair is kept as one integer
+    ``key = y n + i`` in the index dtype of ``_edge_list``, the keys in
+    (j, i) order, beside the (n + 1) pointer ``colptr``: the keys of
+    column j are ``key[colptr[j]:colptr[j + 1]]``.  That is the CSC
+    pattern of rows y n + i and columns j from which the operator is
+    built.  ``i``, ``j`` and ``y`` are derived on access, as aligned
+    arrays in the index dtype; indices are 0-based, residues lie in
+    {0, ..., m-1}.  The constructor takes them in any order and checks
+    them once.
     """
 
     n: int
     m: int
-    i: np.ndarray
-    j: np.ndarray
-    y: np.ndarray
+    key: np.ndarray
+    colptr: np.ndarray
 
-    def __post_init__(self):
-        *columns, order = _edge_list(self.n, self.m, self.i, self.j, self.y)
-        for name, c in zip("ijy", columns):
-            object.__setattr__(self, name, c if order is None else c[order])
+    def __init__(self, n: int, m: int, i, j, y):
+        *columns, order = _edge_list(n, m, i, j, y)
+        i, j, y = (c if order is None else c[order] for c in columns)
+        # every value is in range, so y n + i < n m fits the index dtype
+        key = y * n
+        key += i
+        self._store(n, m, key, np.searchsorted(j, np.arange(n + 1, dtype=j.dtype)))
+
+    @classmethod
+    def _from_pattern(cls, n: int, m: int, key: np.ndarray, colptr: np.ndarray):
+        """Observations already in the stored form, taken unchecked and uncopied."""
+        obs = cls.__new__(cls)
+        obs._store(n, m, key, colptr)
+        return obs
+
+    def _store(self, n, m, key, colptr):
+        for name, value in zip(("n", "m", "key", "colptr"), (n, m, key, colptr)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def i(self) -> np.ndarray:
+        return self.key % self.n
+
+    @property
+    def j(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n, dtype=self.key.dtype), np.diff(self.colptr))
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.key // self.n
 
     @property
     def n_edges(self) -> int:
-        return self.i.size
+        return self.key.size
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -259,6 +299,13 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     uniform per pair would leave the stream, so full-observation instances
     match a per-pair sampler bit for bit; below 1 the streams differ.
 
+    Two passes over the pairs, each in chunks of ``_CHUNK``, keep the
+    memory at about one index-dtype integer per pair: the first writes
+    each pair's i into its key and counts the pairs per j, the second
+    draws the noise and adds y n to the keys.  The stream is read in the
+    order one whole-array draw of each kind would read it, so the chunk
+    size does not change the output.
+
     Parameters
     ----------
     x : array_like of int, shape (n,)
@@ -282,72 +329,141 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     dtype = _index_dtype(n, m)
     x = x.astype(dtype, copy=False)
     rng = np.random.default_rng(seed)
-    a, b = _observed_pairs(n, p_obs, rng, dtype)
+    key, colptr = _pair_pattern(n, p_obs, rng, dtype)
     cdf = np.cumsum(d.p0)
-    eta = np.searchsorted(cdf, rng.random(a.size), side="right")
-    np.clip(eta, 0, m - 1, out=eta)
-    # store with i > j: y_ij = (x_i - x_j + eta) mod m for (i, j) = (b, a)
-    y = x[b]
-    y -= x[a]
-    y += eta
-    del eta
-    y %= m
-    return PairwiseObservations(n=n, m=m, i=b, j=a, y=y)
+    for lo in range(0, key.size, _CHUNK):
+        i = key[lo:lo + _CHUNK]
+        eta = np.searchsorted(cdf, rng.random(i.size), side="right")
+        np.clip(eta, 0, m - 1, out=eta)
+        # y_ij = (x_i - x_j + eta) mod m, stored with i > j
+        y = x[i]
+        y -= x[_cols_of(colptr, lo, lo + i.size, dtype)]
+        y += eta
+        y %= m
+        y *= n
+        i += y
+    return PairwiseObservations._from_pattern(n, m, key, colptr)
 
 
 def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator, dtype):
     """Index arrays (a, b) of dtype, a < b, of the pairs kept at rate p_obs.
 
-    The one check of p_obs for both problem families: outside (0, 1], NaN
-    included, it raises ValueError.  Pairs are ranked in lexicographic
-    order and the gaps between kept ranks are geometric(p_obs) variables
-    (Batagelj & Brandes, Phys. Rev. E 71, 2005), so the kept ranks ascend.
-    At p_obs = 1 the stream is advanced past the N = n(n-1)/2 uniforms
-    that a per-pair mask draws; that is one 64-bit step per float64 for
-    the PCG64 generator ``default_rng`` makes.  The advance also drops a
-    32-bit half-word that earlier bounded draws may have left pending.
+    The pairs of ``_pair_pattern``, with the pointer expanded to one a per
+    pair.
+    """
+    b, colptr = _pair_pattern(n, p_obs, rng, dtype)
+    return np.repeat(np.arange(n, dtype=dtype), np.diff(colptr)), b
+
+
+def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype):
+    """The pairs a < b kept at rate p_obs, as b in dtype and a pointer over a.
+
+    The one pair sampler and the one check of p_obs for both problem
+    families: outside (0, 1], NaN included, it raises ValueError.  The
+    pairs come in ascending lexicographic rank, and the (n + 1) int64
+    pointer ``colptr`` bounds each a's run of b, as a CSC pointer over
+    columns a.  Each chunk of ranks is unranked as it is drawn, so beside
+    b only O(n + ``_CHUNK``) memory is used.  The buffer for b is sized
+    to the first block of draws; in the rare sweep that outlasts it, it
+    grows by each further chunk.
     """
     if not 0 < p_obs <= 1:
         raise ValueError(f"p_obs must lie in (0, 1], got {p_obs}")
     total = n * (n - 1) // 2
+    starts = _row_starts(n)
+    b = np.empty(_block_size(total, p_obs), dtype=dtype)
+    colptr = np.zeros(n + 1, dtype=np.int64)
+    e = 0
+    for k in _kept_ranks(total, p_obs, rng):
+        if e + k.size > b.size:
+            b = np.concatenate((b[:e], np.empty(k.size, dtype=dtype)))
+        a, b[e:e + k.size] = _pair_of_rank(k, n, dtype, starts)
+        colptr[a[0] + 1:a[-1] + 2] += np.bincount(a - a[0])
+        e += k.size
+    np.cumsum(colptr, out=colptr)
+    return b[:e], colptr
+
+
+def _block_size(left: int, p_obs: float) -> int:
+    """Geometric draws per block when ``left`` ranks remain: the mean kept
+    count plus four standard deviations, so one block almost always ends
+    the sweep."""
+    mean = left * p_obs
+    return min(left, int(mean + 4.0 * math.sqrt(mean)) + 16)
+
+
+def _kept_ranks(total: int, p_obs: float, rng):
+    """The ranks below ``total`` kept at rate p_obs, ascending, in chunks.
+
+    The gaps between kept ranks are geometric(p_obs) variables (Batagelj &
+    Brandes, Phys. Rev. E 71, 2005), drawn in blocks of ``_block_size``
+    and each block in chunks of at most ``_CHUNK``.  A block is drawn to
+    its end even past the last rank: the noise draws that follow must
+    start where one draw of the whole block would leave the stream.
+    At p_obs = 1 every rank is kept, and the stream is advanced past the
+    ``total`` uniforms that a per-pair mask draws; that is one 64-bit step
+    per float64 for the PCG64 generator ``default_rng`` makes.  The
+    advance also drops a 32-bit half-word that earlier bounded draws may
+    have left pending.
+    """
     if p_obs == 1:
         rng.bit_generator.advance(total)
-        return tuple(c.astype(dtype) for c in np.triu_indices(n, k=1))
-    blocks = []
-    last = -1  # rank of the last kept pair
+        for lo in range(0, total, _CHUNK):
+            yield np.arange(lo, min(lo + _CHUNK, total))
+        return
+    last = -1  # the last rank drawn, past the end once the sweep is over
     while last < total - 1:
-        left = total - 1 - last
-        mean = left * p_obs
-        size = min(left, int(mean + 4.0 * math.sqrt(mean)) + 16)
-        k = rng.geometric(p_obs, size)
-        # a gap past the end ends the sweep; capping it keeps the sum in int64
-        np.minimum(k, left + 1, out=k)
-        np.cumsum(k, out=k)
-        k += last
-        stop = int(np.searchsorted(k, total))
-        blocks.append(k[:stop])
-        if stop < size:
-            break
-        last = int(k[-1])
-    k = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    del blocks
-    return _pair_of_rank(k, n, dtype)
+        size = _block_size(total - 1 - last, p_obs)
+        for lo in range(0, size, _CHUNK):
+            k = rng.geometric(p_obs, min(_CHUNK, size - lo))
+            if last >= total:
+                continue
+            # a gap past the end ends the sweep; capping it keeps the sum in int64
+            np.minimum(k, total - last, out=k)
+            np.cumsum(k, out=k)
+            k += last
+            stop = int(np.searchsorted(k, total))
+            if stop:
+                yield k[:stop]
+            last = int(k[-1])
 
 
-def _pair_of_rank(k: np.ndarray, n: int, dtype):
+def _row_starts(n: int) -> np.ndarray:
+    """Rank of the first pair (a, a + 1) of every row a, as int64."""
+    rows = np.arange(n)
+    return rows * (2 * n - rows - 1) // 2
+
+
+def _pair_of_rank(k: np.ndarray, n: int, dtype, starts=None):
     """Unrank ascending lexicographic pair ranks k over n items to (a, b), a < b.
 
-    Row a starts at rank a(2n - a - 1)/2, so counting the ranks below each
-    row start gives every row's share of k in exact integer arithmetic.
-    Only the ranks are int64; a and b come out in dtype.
+    Row a starts at rank a(2n - a - 1)/2 (``starts``, computed when not
+    given), so counting the ranks below each row start gives every row's
+    share of k in exact integer arithmetic.  Only the rows k spans are
+    searched, so a chunk costs O(k.size + rows spanned).  Only the ranks
+    are int64; a and b come out in dtype.
     """
-    rows = np.arange(n)
-    starts = rows * (2 * n - rows - 1) // 2
-    a = np.repeat(rows.astype(dtype), np.diff(np.searchsorted(k, starts), append=k.size))
+    if starts is None:
+        starts = _row_starts(n)
+    if k.size == 0:
+        return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
+    first = int(np.searchsorted(starts, k[0], side="right")) - 1
+    end = int(np.searchsorted(starts, k[-1], side="right"))
+    rows = np.arange(first, end)
+    span = starts[first:end]
+    a = np.repeat(rows.astype(dtype), np.diff(np.searchsorted(k, span), append=k.size))
     b = np.empty_like(a)
     # b = k - starts[a] + a + 1, and b < n, so the cast is exact
-    np.subtract(k, (starts - rows - 1)[a], out=b, casting="unsafe")
+    np.subtract(k, (span - rows - 1)[a - first], out=b, casting="unsafe")
     return a, b
+
+
+def _cols_of(colptr: np.ndarray, lo: int, hi: int, dtype) -> np.ndarray:
+    """Column of each stored position lo..hi-1 (lo < hi) under a CSC pointer."""
+    first = int(np.searchsorted(colptr, lo, side="right")) - 1
+    last = int(np.searchsorted(colptr, hi - 1, side="right")) - 1
+    bounds = np.clip(colptr[first:last + 2], lo, hi)
+    return np.repeat(np.arange(first, last + 1, dtype=dtype), np.diff(bounds))
 
 
 def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: int) -> PairwiseObservations:
@@ -355,11 +471,17 @@ def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: in
 
     Companion to regularize(): after both, the data is exactly distributed
     according to the smoothed model, so likelihood weights stay consistent.
+    The uniforms that pick the pairs are drawn in chunks of ``_CHUNK``,
+    then the new residues in one draw, and the pattern is shared with obs.
     """
     if not 0.0 < varsigma < 1.0:
         raise ValueError("varsigma must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    repl = rng.random(obs.n_edges) < varsigma
-    y = obs.y.copy()
-    y[repl] = rng.integers(0, obs.m, int(repl.sum()))
-    return PairwiseObservations(obs.n, obs.m, obs.i, obs.j, y)
+    e, n = obs.n_edges, obs.n
+    picked = [np.flatnonzero(rng.random(min(_CHUNK, e - lo)) < varsigma) + lo
+              for lo in range(0, e, _CHUNK)]
+    picked = np.concatenate([np.empty(0, dtype=np.intp), *picked])
+    key = obs.key.copy()
+    # keep each picked pair's i and give it a fresh residue
+    key[picked] = key[picked] % n + rng.integers(0, obs.m, picked.size) * n
+    return PairwiseObservations._from_pattern(n, obs.m, key, obs.colptr)

@@ -25,13 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from .likelihood import _csv_records, _edge_list, _index_dtype, _observed_pairs
 from .solver import _power_loop
 from .spectral import _WARM_START_TOL, orthogonal_iteration
 
 _LAP_TOL = 1e-9
+
+
+def linear_sum_assignment(score, maximize=False):
+    """scipy's assignment solver, imported at its first call.
+
+    ``scipy.optimize`` loads scipy's dense and sparse linear algebra, and
+    with them scipy's own BLAS, so only a run that solves an assignment
+    pays for it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(score, maximize=maximize)
 
 
 def lap_project(score) -> np.ndarray:

@@ -103,6 +103,58 @@ def per_pair_sample_observations(x, d, p_obs, seed):
     return PairwiseObservations(n=n, m=m, i=b, j=a, y=y)
 
 
+def one_shot_sample_observations(x, d, p_obs, seed):
+    """The sampler as it was before it worked in chunks: every geometric
+    block drawn whole, the ranks unranked at once, one draw of all the
+    noise.  Returns the arrays (i, j, y), in int64, and the generator
+    after sampling.
+
+    Reference for ``likelihood.sample_observations``, whose pairs,
+    residues and final generator state must equal these at every chunk
+    size.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    n, m = x.size, d.m
+    rng = np.random.default_rng(seed)
+    total = n * (n - 1) // 2
+    if p_obs == 1:
+        rng.bit_generator.advance(total)
+        a, b = np.triu_indices(n, k=1)
+    else:
+        blocks = []
+        last = -1
+        while last < total - 1:
+            left = total - 1 - last
+            mean = left * p_obs
+            size = min(left, int(mean + 4.0 * math.sqrt(mean)) + 16)
+            k = rng.geometric(p_obs, size)
+            np.minimum(k, left + 1, out=k)
+            k = np.cumsum(k) + last
+            stop = int(np.searchsorted(k, total))
+            blocks.append(k[:stop])
+            if stop < size:
+                break
+            last = int(k[-1])
+        k = np.concatenate(blocks)
+        rows = np.arange(n)
+        starts = rows * (2 * n - rows - 1) // 2
+        a = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=k.size))
+        b = k - starts[a] + a + 1
+    cdf = np.cumsum(d.p0)
+    eta = np.clip(np.searchsorted(cdf, rng.random(a.size), side="right"), 0, m - 1)
+    return b, a, (x[b] - x[a] + eta) % m, rng
+
+
+def one_shot_regularize_residues(y, m, varsigma, seed):
+    """``likelihood.regularize_observations`` as it was before it drew in
+    chunks: one uniform per pair, then the fresh residues."""
+    rng = np.random.default_rng(seed)
+    repl = rng.random(len(y)) < varsigma
+    y = np.array(y, dtype=np.int64)
+    y[repl] = rng.integers(0, m, int(repl.sum()))
+    return y
+
+
 def shift_labels(labels, l: int, m: int) -> np.ndarray:
     """Apply the global cyclic shift: label -> ((label - 1 + l) mod m) + 1."""
     labels = np.asarray(labels, dtype=np.int64)

@@ -190,6 +190,28 @@ class TestMatvec:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 12),
+           p_obs=st.sampled_from((0.05, 0.3, 1.0)))
+    def test_halves_equal_the_edge_list_conversion(self, seed, n, m, p_obs):
+        # the stored keys are the CSC indices that the build once made from
+        # the sorted i, j and y arrays, so the halves' arrays are the same;
+        # the pairs reach the constructor shuffled
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < p_obs
+        ii, jj = hi[keep], lo[keep]
+        y = rng.integers(0, m, ii.size)
+        order = rng.permutation(ii.size)
+        L = CirculantBlockMatrix(edges(n, m, ii[order], jj[order], y[order]), np.ones(m))
+        want = sp.csc_matrix((np.ones(ii.size, dtype=bool), y * n + ii,
+                              np.searchsorted(jj, np.arange(n + 1))), shape=(m * n, n)).tocsr()
+        for s, half in enumerate(L._halves):
+            start, stop = want.indptr[s * n], want.indptr[(s + 1) * n]
+            np.testing.assert_array_equal(half.indptr, want.indptr[s * n:(s + 1) * n + 1] - start)
+            np.testing.assert_array_equal(half.indices, want.indices[start:stop])
+            assert half.indices.dtype == half.indptr.dtype == np.int32
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 12),
            p_obs=st.sampled_from((0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_adjacencies_bit_identical_to_coo_build(self, seed, n, m, p_obs, form):
         # the stored halves are sliced out of one conversion of the sorted
@@ -294,7 +316,7 @@ class TestMatvec:
 
     def test_operator_keeps_no_reference_to_the_observations(self):
         obs = sample_observations(np.arange(1, 31) % 3 + 1, random_corruption(0.7, 3), 0.5, seed=2)
-        refs = [weakref.ref(obs), weakref.ref(obs.i), weakref.ref(obs.j), weakref.ref(obs.y)]
+        refs = [weakref.ref(obs), weakref.ref(obs.key), weakref.ref(obs.colptr)]
         L = build(obs)
         del obs
         gc.collect()
@@ -303,12 +325,12 @@ class TestMatvec:
             "n", "m", "h", "shape", "matvec", "matmat", "rotate"}
 
     def test_sample_and_build_peak_bytes_per_edge(self):
-        # the sampler sets the overall peak, about 24 B per pair.  The build
-        # adds about 11 B above what is already live: the stored halves'
-        # indices and shared ones, and the conversion's temporaries.  int64
-        # columns, an int64 sort key or per-shift copies of the ones would
-        # push the overall peak past its bound (it was 56 B with them), and
-        # a built mirror of every half the build's (it was 17.5 B with them)
+        # the build sets the overall peak, about 12.3 B per pair: the 4 B
+        # keys, the conversion's output and then the shared ones.  The
+        # sampler peaks at about 5 B.  Three edge columns, as the sampler
+        # kept them, peaked at 24 B, and the build 11 B above them; int64
+        # columns, per-shift copies of the ones or scipy's own copies of the
+        # shorter halves' indices would also break the bounds
         n, m = 20_000, 2
         x = np.random.default_rng(5).integers(1, m + 1, n)
         d = random_corruption(0.5, m)
@@ -322,8 +344,8 @@ class TestMatvec:
             build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(peak, build_peak) / obs.n_edges < 36
-        assert (build_peak - live) / obs.n_edges < 14
+        assert max(peak, build_peak) / obs.n_edges < 16
+        assert (build_peak - live) / obs.n_edges < 10
         ones = L._halves[0].data
         assert all(np.shares_memory(a.data, ones) for a in L._halves + L._transposes)
 

@@ -202,7 +202,7 @@ class TestRuns:
 
         def sample_and_watch(*a, **kw):
             obs = sample(*a, **kw)
-            refs.extend((weakref.ref(obs), weakref.ref(obs.i)))
+            refs.extend((weakref.ref(obs), weakref.ref(obs.key)))
             return obs
 
         def factor_after_drop(*a, **kw):

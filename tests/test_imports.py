@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and no
-module reaches scipy's dense or sparse linear algebra.
+"""Every module-level import in the package is used by its module, no
+module reaches scipy's dense or sparse linear algebra, and an alignment run
+loads neither, nor ``scipy.optimize``, which loads both.
 
 No linter runs on this code base, so a deletion that leaves an import
 behind is caught here, with the standard library's ``ast``.  scipy's
@@ -9,6 +10,8 @@ trial took 165 ms against 106 ms with numpy's pool alone.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,27 @@ def test_allows_scipy_sparse_and_numpy_linalg():
     src = ("import numpy as np\nimport scipy.sparse as sp\nfrom scipy.optimize import "
            "linear_sum_assignment\nnp.linalg.eigh\nsp.csr_matrix\n")
     assert scipy_linalg_uses(src) == []
+
+
+def test_alignment_run_loads_no_scipy_linalg_or_optimize():
+    # scipy.optimize loads both linear algebra packages, so the assignment
+    # solver is imported only where matching calls it
+    code = ("import sys, ppmalign\n"
+            "ppmalign.run_trial(ppmalign.ExperimentConfig(m=3), 40, 0.8, 0, 0)\n"
+            "print(' '.join(m for m in ['scipy.optimize', *sys.argv[1:]] if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code, *SCIPY_LINALG], capture_output=True,
+                         text=True, check=True, cwd=Path(ppmalign.__file__).parents[1])
+    assert out.stdout.split() == []
+
+
+def test_matching_loads_the_assignment_solver_at_first_call():
+    code = ("import sys, ppmalign\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "ppmalign.match_solve(ppmalign.sample_match_observations(6, 3, 0.1, seed=1)[0], 5, seed=2)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(ppmalign.__file__).parents[1])
+    assert out.stdout.split() == ["False", "True"]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,16 +14,20 @@ from conftest import (
     entropy,
     hellinger_sq,
     kl,
+    one_shot_regularize_residues,
+    one_shot_sample_observations,
     operator_block,
     per_pair_sample_observations,
     total_variation,
 )
+from ppmalign import likelihood
 from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.matching import MatchObservations, sample_match_observations
 from ppmalign.likelihood import (
     NoiseDistribution,
     PairwiseObservations,
+    _edge_list,
     _observed_pairs,
     _pair_of_rank,
     kl_min_max,
@@ -372,18 +377,30 @@ class TestEdgeList:
         assert family(4, [], []).n_edges == 0
 
     def test_int64_input_kept_and_narrow_input_widened(self):
-        # from n m = 2^31 on (m = 2 here) the edge columns are int64
+        # from n m = 2^31 on (m = 2 here) the edge columns are int64, and the
+        # check returns input already in that dtype uncopied
         i, j = np.array([1, 2]), np.array([0, 0], dtype=np.int32)
-        for obs in (pairwise(2**30, i, j), matched(2**30, i, j)):
-            got_i, got_j = (obs.i, obs.j) if isinstance(obs, PairwiseObservations) else (obs.ii, obs.jj)
-            assert got_i is i and got_j.dtype == np.int64
+        got_i, got_j, _ = _edge_list(2**30, 2, i, j)
+        assert got_i is i and got_j.dtype == np.int64
+        obs = matched(2**30, i, j)
+        assert obs.ii is i and obs.jj.dtype == np.int64
+        # the pairwise keys y n + i take the same dtype; a large m reaches
+        # 2^31 with a short pointer over j
+        obs = PairwiseObservations(n=4, m=2**29, i=i, j=j, y=[0, 2**29 - 1])
+        assert obs.key.dtype == obs.i.dtype == obs.j.dtype == obs.y.dtype == np.int64
+        np.testing.assert_array_equal(obs.y, [0, 2**29 - 1])
 
     def test_int32_input_kept_and_wide_input_narrowed(self):
         # below n m = 2^31 they are int32
         i, j = np.array([1, 2], dtype=np.int32), np.array([0, 0])
-        for obs in (pairwise(2**30 - 1, i, j), matched(2**30 - 1, i, j)):
-            got_i, got_j = (obs.i, obs.j) if isinstance(obs, PairwiseObservations) else (obs.ii, obs.jj)
-            assert got_i is i and got_j.dtype == np.int32
+        got_i, got_j, _ = _edge_list(2**30 - 1, 2, i, j)
+        assert got_i is i and got_j.dtype == np.int32
+        obs = matched(2**30 - 1, i, j)
+        assert obs.ii is i and obs.jj.dtype == np.int32
+        m = 2**29 - 1
+        obs = PairwiseObservations(n=4, m=m, i=i, j=j, y=[0, m - 1])
+        assert obs.key.dtype == obs.i.dtype == obs.j.dtype == obs.y.dtype == np.int32
+        np.testing.assert_array_equal(obs.y, [0, m - 1])
 
     @pytest.mark.parametrize("y", [[0, 2], [-1, 0]])
     def test_residues_out_of_range_rejected(self, y):
@@ -575,6 +592,92 @@ class TestPairSampler:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        kept = obs.i.nbytes + obs.j.nbytes + obs.y.nbytes
+        # about 2.3 times the keys here, the rest being one chunk's draws
+        kept = obs.key.nbytes
         assert obs.n_edges > 0.9 * p * n * (n - 1) / 2
         assert peak < 4 * kept, peak / kept
+
+
+def _sample_keeping_rng(x, d, p_obs, seed):
+    """``sample_observations`` and the generator it drew from."""
+    made = []
+
+    def default_rng(s):
+        made.append(make(s))
+        return made[-1]
+
+    make = np.random.default_rng
+    with mock.patch("numpy.random.default_rng", default_rng):
+        obs = sample_observations(x, d, p_obs, seed)
+    return obs, made[0]
+
+
+class TestChunkedSampler:
+    """The chunked sampler against the one-shot sampler it replaced."""
+
+    def check_against_one_shot(self, x, d, p_obs, seed):
+        obs, rng = _sample_keeping_rng(x, d, p_obs, seed)
+        i, j, y, want_rng = one_shot_sample_observations(x, d, p_obs, seed)
+        for name, want in zip("ijy", (i, j, y)):
+            got = getattr(obs, name)
+            assert got.dtype == np.int32, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        reg = regularize_observations(obs, 0.3, seed + 1)
+        np.testing.assert_array_equal(reg.y, one_shot_regularize_residues(y, d.m, 0.3, seed + 1))
+        np.testing.assert_array_equal(reg.i, i)
+        assert reg.colptr is obs.colptr
+
+    @pytest.mark.parametrize("chunk", [None, 3], ids=["default", "three"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 2), n=st.integers(2, 400), m=st.integers(2, 9),
+           p_obs=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_min=True),
+                           st.sampled_from([1e-3, 0.5, 1.0 - 1e-9, 1.0])))
+    def test_equals_one_shot_sampler(self, chunk, seed, n, m, p_obs):
+        # a chunk of three pairs splits every block and the noise draw many times
+        x = np.random.default_rng(seed).integers(1, m + 1, n)
+        d = NoiseDistribution(np.random.default_rng(seed + 1).dirichlet(np.ones(m)))
+        with mock.patch.object(likelihood, "_CHUNK", chunk or likelihood._CHUNK):
+            self.check_against_one_shot(x, d, p_obs, seed)
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "seven"])
+    def test_first_block_running_out(self, chunk):
+        # for this seed the first block's 23100 draws sum to 1123369 of the
+        # 1124250 ranks, so a second block is drawn, and its surplus past the
+        # last rank must be drawn too
+        n, p, seed = 1500, 0.02, 67853
+        total = n * (n - 1) // 2
+        first = likelihood._block_size(total, p)
+        assert np.random.default_rng(seed).geometric(p, first).sum() < total
+        x = np.random.default_rng(0).integers(1, 4, n)
+        with mock.patch.object(likelihood, "_CHUNK", chunk or likelihood._CHUNK):
+            self.check_against_one_shot(x, random_corruption(0.5, 3), p, seed)
+
+    def test_match_pairs_from_the_same_stream(self):
+        # matching draws its pairs through the same sampler, then the flags
+        for p_obs in (0.3, 1.0):
+            with mock.patch.object(likelihood, "_CHUNK", 5):
+                got, truth = sample_match_observations(40, 4, 0.2, seed=3, p_obs=p_obs)
+            want, want_truth = sample_match_observations(40, 4, 0.2, seed=3, p_obs=p_obs)
+            np.testing.assert_array_equal(truth, want_truth)
+            for part in ("ii", "jj", "blocks"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+    def test_public_constructor_round_trips_unsorted_input(self):
+        rng = np.random.default_rng(8)
+        n, m = 30, 5
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < 0.4
+        i, j = hi[keep], lo[keep]
+        y = rng.integers(0, m, i.size)
+        order = rng.permutation(i.size)
+        obs = PairwiseObservations(n=n, m=m, i=i[order], j=j[order], y=y[order])
+        # (j, i) order is the order triu_indices gives
+        np.testing.assert_array_equal(obs.i, i)
+        np.testing.assert_array_equal(obs.j, j)
+        np.testing.assert_array_equal(obs.y, y)
+        np.testing.assert_array_equal(obs.key, y * n + i)
+        np.testing.assert_array_equal(obs.colptr, np.searchsorted(j, np.arange(n + 1)))
+        again = PairwiseObservations.from_csv(obs.to_csv(), n, m)
+        np.testing.assert_array_equal(again.key, obs.key)
+        np.testing.assert_array_equal(again.colptr, obs.colptr)
