@@ -12,13 +12,17 @@ holds at most max(2r + 1, 20) vectors.  Once it holds more than 2r, every
 new column is followed by the stopping test max_k beta |s_k| <= tol
 |theta_1| / 4, where the left side is the largest residual norm of the top r
 Ritz pairs of the basis so far; when the basis is full and the test fails,
-the leading Ritz vectors are kept and the rest rebuilt.  The factor reports
-the same quantity after the Rayleigh-Ritz step, max_k ||L u_k - theta_k
-u_k|| / |theta_1|, as ``residual``.  The harness's ``init_iters`` caps the
-restarts; the harness and ``match_solve`` both factor to tol =
-``_WARM_START_TOL``.  The operator only needs ``shape`` and products with
-(N, k) matrices, so both the circulant-block and the dense-block operators
-plug in.
+the leading Ritz vectors are kept and the rest rebuilt.  The Rayleigh-Ritz
+step multiplies nothing: the products of the Ritz vectors come from the
+Lanczos relation L Q^T = Q^T P + w e^T, and those of their rotated images
+from L R = R L.  The factor reports the same quantity after that step,
+max_k ||L u_k - theta_k u_k|| / |theta_1|, as ``residual``.  A short look
+outside the factor for missed copies of repeated eigenvalues follows, for
+an operator with a rotation only where a copy can hide.  The harness's
+``init_iters`` caps the restarts; the harness and ``match_solve`` both
+factor to tol = ``_WARM_START_TOL``.  The operator only needs ``shape`` and
+products with (N, k) matrices, so both the circulant-block and the
+dense-block operators plug in.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ def _lanczos(apply, k, ncv, tol, max_iters, v, rng, scale=0.0, early=True):
     that an operator of rounding noise below it stops on the first fill.
 
     Returns the Ritz values by decreasing magnitude, the (n, k) Ritz
-    vectors and whether the test passed.
+    vectors, their (n, k) products, taken from the Lanczos relation, not
+    from the operator, whether the test passed and whether ``early`` stayed
+    true.
     """
     n = v.size
     p = min(ncv, n)
@@ -137,7 +143,37 @@ def _lanczos(apply, k, ncv, tol, max_iters, v, rng, scale=0.0, early=True):
         proj[np.arange(keep), np.arange(keep)] = theta[:keep]
         basis[keep] = _next_vector(basis[:keep], w, beta, lost, rng)
         start = keep
-    return theta[:k], (s[:, :k].T @ basis[:j + 1]).T, bool(converged)
+    # products without new columns: with full reorthogonalization the basis
+    # Q keeps L Q^T = Q^T P + w e^T, P the symmetric projection whose upper
+    # triangle is stored and w the last remainder
+    s = s[:, :k]
+    upper = np.triu(proj[:j + 1, :j + 1])
+    both = (np.vstack([s.T, s.T @ (upper + np.triu(upper, 1).T)]) @ basis[:j + 1]).T
+    both[:, k:] += np.outer(w, s[-1])
+    return theta[:k], both[:, :k], both[:, k:], bool(converged), early
+
+
+def _orbit(op, x):
+    """The columns x beside their images under every power of the rotation,
+    whose order is op.m."""
+    images = [x]
+    for _ in range(op.m - 1):
+        images.append(op.rotate(images[-1]))
+    return np.hstack(images)
+
+
+def _channel_load(op, u):
+    """How many of the orthonormal columns u lie in each rotation channel.
+
+    Channel f is the eigenspace of the rotation R for exp(2 pi i f / m), and
+    its load is ||P_f u||_F^2 = (1/m) sum_k cos(2 pi f k / m) tr(u^T R^k u),
+    the sine terms cancelling since R^-k = (R^k)^T; so the loads add up to
+    the number of columns.
+    """
+    m = op.m
+    traces = np.einsum("nkr,nr->k", _orbit(op, u).reshape(u.shape[0], m, -1), u)
+    k = np.arange(m)
+    return np.cos(2 * np.pi * np.outer(k, k) / m) @ traces / m
 
 
 def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
@@ -149,9 +185,11 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
     op : operator
         Anything with ``shape`` (N, N) and ``matmat`` mapping (N, k) to
         (N, k).  Assumed symmetric; eigenvalues may have either sign.  An
-        optional ``rotate``, an orthogonal map commuting with it, supplies
-        copies of repeated eigenvalues (for circulant blocks, the second of
-        each pair of conjugate frequencies k and m - k).
+        optional ``rotate``, an orthogonal map of order ``m`` commuting with
+        it, supplies copies of repeated eigenvalues: for circulant blocks,
+        the images of a vector under its powers span the vector's part in
+        each frequency channel, so no copy that differs only by channel is
+        missed.
     r : int
         Target rank, 1 <= r <= N.
     max_iters, tol : int, float
@@ -166,7 +204,8 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
         Singular vectors and values of the dominant subspace, obtained by
         a final Rayleigh-Ritz step, ordered by decreasing magnitude, with
         residual max_k ||L u_k - theta_k u_k|| / |theta_1|, converged when
-        it is at most tol, and iterations counting operator columns.
+        it is at most tol, and iterations counting operator columns: those
+        of the Lanczos solve, and of the look where it runs.
     """
     n = op.shape[0]
     if not 1 <= r <= n:
@@ -177,34 +216,42 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
         raise ValueError(f"tol must be > 0, got {tol}")
     rng = np.random.default_rng(seed)
     cols = 0
+    rotates = hasattr(op, "rotate")
 
     def apply(x):
         nonlocal cols
         cols += x.shape[1]
         return op.matmat(x)
 
-    def ritz(q):
-        # columns already in the span are dropped, not normalized noise.  The
-        # Ritz vectors err by about tol / gap, so the cut grows with tol: 1e-6
-        # at 1e-8, 1e-4 at 1e-4, far below the sine between two copies
-        if hasattr(op, "rotate"):
-            q = np.hstack([q, op.rotate(q)])
-        v, sv, _ = np.linalg.svd(q, full_matrices=False)
-        q = v[:, sv > 1e-2 * np.sqrt(tol) * sv[0]]
-        y = apply(q)
-        theta, w = np.linalg.eigh(0.5 * (q.T @ y + y.T @ q))
+    def ritz(q, lq):
+        # L commutes with the rotation, so the orbit's products are the
+        # products' orbit.  Columns already in the span are dropped, not
+        # normalized noise.  The Ritz vectors err by about tol / gap, so the
+        # cut on singular values grows with tol: 1e-6 at 1e-8, 1e-4 at 1e-4,
+        # far below the sine between two copies.  The basis comes from the
+        # Gram matrix, whose second pass restores the orthogonality that the
+        # first loses along small singular values; a tall SVD would touch
+        # megabytes of LAPACK workspace
+        if rotates:
+            q, lq = _orbit(op, q), _orbit(op, lq)
+        for _ in range(2):
+            sv2, w = np.linalg.eigh(q.T @ q)
+            keep = sv2 > 1e-4 * tol * sv2[-1]
+            w = w[:, keep] / np.sqrt(sv2[keep])
+            q, lq = q @ w, lq @ w
+        theta, w = np.linalg.eigh(0.5 * (q.T @ lq + lq.T @ q))
         order = np.argsort(-np.abs(theta))[:r]
-        return q @ w[:, order], theta[order], y @ w[:, order]
+        return q @ w[:, order], theta[order], lq @ w[:, order]
 
     # a quarter of tol: the Ritz step mixes each Ritz vector with its
-    # rotated copy, and the part of the copy orthogonal to the vector carries
+    # rotated copies, and the part of a copy orthogonal to the vector carries
     # their error over its length, sin of the rotation angle.  Stopping at
     # half of tol, which Lanczos does right at the test once it tests within
     # a fill, left residuals up to 1.2 tol on small random circulant
     # instances (m = 3, 5); a quarter left at most 0.78 tol over 6000 of them
-    _, q, converged = _lanczos(apply, r, max(2 * r + 1, 20), tol / 4, max_iters,
-                               rng.standard_normal(n), rng)
-    u, theta, lu = ritz(q)
+    _, x, lx, converged, early = _lanczos(apply, r, max(2 * r + 1, 20), tol / 4, max_iters,
+                                          rng.standard_normal(n), rng)
+    u, theta, lu = ritz(x, lx)
 
     def outside(x):
         x = x - u @ (u.T @ x)
@@ -214,17 +261,26 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
     # one Krylov space holds one vector per eigenspace, so repeated eigenvalues
     # lose copies; a short look outside span(u) finds one that stands clear of
     # the rest of the spectrum, though one close to the r-th value can hide.
-    # The look fills its 8 vectors: a Ritz value at the loose tolerance of a
-    # partial basis can sit below the floor while a missed copy lies above
-    for _ in range(r if converged else 0):
+    # With a rotation, the orbit restores the copies in other channels, so a
+    # copy can only hide within one channel: the look runs where the Krylov
+    # space ran out, or where one channel holds two of the r directions, a
+    # load of 1.5 or more, since a real vector of two conjugate channels
+    # counts half in each.  That is the complete graph's frequency 0, whose
+    # value -h_0 repeats n - 1 times beside h_0 (n - 1), and a forest's,
+    # whose values come in pairs +t, -t.  The look fills its 8 vectors: a
+    # Ritz value at the loose tolerance of a partial basis can sit below the
+    # floor while a missed copy lies above.  A copy it finds is multiplied
+    # once for the Ritz step
+    look = converged and not (rotates and early and _channel_load(op, u).max() < 1.5)
+    for _ in range(r if look else 0):
         floor = abs(theta[-1]) + tol * abs(theta[0])
-        top, w, _ = _lanczos(outside, 1, 8, 0.1, max_iters, rng.standard_normal(n), rng, floor,
-                             early=False)
+        top, w, *_ = _lanczos(outside, 1, 8, 0.1, max_iters, rng.standard_normal(n), rng, floor,
+                              early=False)
         if abs(top[0]) > floor:
-            top, w, _ = _lanczos(outside, 1, 20, tol, max_iters, w[:, 0], rng, floor)
+            top, w, *_ = _lanczos(outside, 1, 20, tol, max_iters, w[:, 0], rng, floor)
         if abs(top[0]) <= floor:
             break
-        u, theta, lu = ritz(np.hstack([u, w]))
+        u, theta, lu = ritz(np.hstack([u, w]), np.hstack([lu, apply(w)]))
     residual = float(np.linalg.norm(lu - u * theta, axis=0).max() / max(abs(theta[0]), 1e-300))
     signs = np.where(theta >= 0, 1.0, -1.0)
     return LowRankFactor(U=u, S=np.abs(theta), V=u * signs,

@@ -24,10 +24,16 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-# HYPOTHESIS_PROFILE=stress runs the property tests that fix no example
-# count of their own at 2000 examples
+# HYPOTHESIS_PROFILE=stress runs the property tests at 2000 examples: those
+# that fix no example count of their own, and those whose count is examples(n)
 settings.register_profile("stress", max_examples=2000)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def examples(n: int) -> int:
+    """A property test's own example count n, or the stress profile's."""
+    return settings.get_profile(PROFILE).max_examples if PROFILE == "stress" else n
 
 
 def dense_expansion(obs, h) -> np.ndarray:
@@ -69,6 +75,24 @@ def operator_block(L, a, b) -> np.ndarray:
     x = np.zeros((L.n * m, m))
     x[b * m:(b + 1) * m] = np.eye(m)
     return L.matmat(x)[a * m:(a + 1) * m]
+
+
+def per_shift_product(L, zb) -> np.ndarray:
+    """Product of a circulant-block operator with blocks zb of shape (n, m, r)
+    by one multi-vector gather per shift and half.
+
+    The operator's general path, kept as the reference of its one-column
+    path at m = 2, which must reproduce it bit for bit.
+    """
+    n, m, r = zb.shape
+    zt = np.ascontiguousarray(zb.transpose(0, 2, 1))
+    acc = np.zeros((2, n, r * m))
+    for s in range(m):
+        zs = np.roll(zt, s, axis=2).reshape(n, r * m)
+        acc[0] += L._halves[s] @ zs
+        acc[1] += L._transposes[-s % m] @ zs
+    acc = acc.reshape(2, n * r, m)
+    return (acc[0] @ L._g.T + acc[1] @ L._g).reshape(n, r, m).transpose(0, 2, 1)
 
 
 def dense_match_expansion(obs) -> np.ndarray:

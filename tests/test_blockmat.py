@@ -10,7 +10,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circulant_block, dense_expansion, entropy, expected_matrix, kl, operator_block
+from conftest import (
+    circulant_block,
+    dense_expansion,
+    entropy,
+    expected_matrix,
+    kl,
+    operator_block,
+    per_shift_product,
+)
 from ppmalign.blockmat import FORMS, CirculantBlockMatrix, build
 from ppmalign.exceptions import RegularizationRequiredError
 from ppmalign.likelihood import (
@@ -248,6 +256,24 @@ class TestMatvec:
         z = rng.standard_normal((n, m))
         want = coo_reference_product(n, m, ii, jj, y, h, z[:, :, None])
         assert np.array_equal(L.matvec(z), want[:, :, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           p_obs=st.sampled_from((0.0, 0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
+    def test_one_column_at_m2_bit_identical_to_per_shift_product(self, seed, n, p_obs, form):
+        # at m = 2 one column takes scipy's 1-D kernel once per shift and
+        # label; the sums must equal the 2-vector kernel's bit for bit.
+        # p_obs = 0 is the empty graph, 0.05 leaves isolated items
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < p_obs
+        obs = edges(n, 2, hi[keep], lo[keep], rng.integers(0, 2, np.count_nonzero(keep)))
+        d = NoiseDistribution(rng.dirichlet(np.ones(2)) * 0.98 + 0.01)
+        L = build(obs, None if form == "agreement" else d, form)
+        z = rng.standard_normal((n, 2))
+        want = per_shift_product(L, z[:, :, None])
+        assert np.array_equal(L.matvec(z), want[:, :, 0])
+        assert np.array_equal(L.matmat(z.reshape(2 * n, 1)), want.reshape(2 * n, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20), m=st.sampled_from((2, 3, 5)),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_expansion, dense_match_expansion
+from conftest import dense_expansion, dense_match_expansion, examples
+from ppmalign import spectral
 from ppmalign.blockmat import CirculantBlockMatrix, build
 from ppmalign.likelihood import (
     NoiseDistribution,
@@ -262,21 +263,56 @@ def circulant_instance(n, m, p_obs, form, seed):
     return build(obs, None if form == "agreement" else d, form), obs
 
 
+def isomorphic_forest(k, m, seed):
+    """Loglik operator of two copies of one random tree on k items, with the
+    same residues on both copies, and its observations."""
+    rng = np.random.default_rng(seed)
+    child = np.arange(1, k)
+    parent = np.array([rng.integers(0, c) for c in child])
+    y = rng.integers(0, m, k - 1)
+    obs = PairwiseObservations(n=2 * k, m=m, i=np.r_[child, child + k],
+                               j=np.r_[parent, parent + k], y=np.r_[y, y])
+    d = NoiseDistribution(rng.dirichlet(np.full(m, 5.0)))
+    return build(obs, d, "loglik"), obs
+
+
+def count_solves(monkeypatch):
+    """Record [basis size, operator columns] of every Lanczos solve: the
+    main solve has max(2r + 1, 20) vectors, and each round of the look
+    starts with 8."""
+    solves = []
+    solve = spectral._lanczos
+
+    def counted(apply, k, ncv, *args, **kwargs):
+        record = [ncv, 0]
+        solves.append(record)
+
+        def counting(x):
+            record[1] += x.shape[1]
+            return apply(x)
+
+        return solve(counting, k, ncv, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    return solves
+
+
 class TestAgainstEigh:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(case=symmetric_matrices(), seed=st.integers(0, 2**32 - 1))
     def test_dense_symmetric(self, case, seed):
         a, r = case
         assert_matches_eigh(DenseOp(a), a, r, seed)
 
     # at m in {3, 5} frequencies k and m - k give exactly equal eigenvalue
-    # pairs, so a rank cut often splits a pair.  On a complete graph the
-    # frequency-0 part is h_0 (J - I), whose eigenvalue -h_0 is repeated n - 1
-    # times; with loglik blocks and small n it lies in the top r (examples).
-    @settings(max_examples=100, deadline=None)
+    # pairs, so a rank cut often splits a pair; at m = 2 both channels are
+    # real.  On a complete graph the frequency-0 part is h_0 (J - I), whose
+    # eigenvalue -h_0 is repeated n - 1 times; with loglik blocks and small n
+    # it lies in the top r (examples).
+    @settings(max_examples=examples(100), deadline=None)
     @example(n=5, m=5, p_obs=1.0, form="loglik", r=4, seed=0)
     @example(n=6, m=5, p_obs=1.0, form="loglik", r=6, seed=0)
-    @given(n=st.integers(2, 12), m=st.sampled_from([3, 5]),
+    @given(n=st.integers(2, 12), m=st.sampled_from([2, 3, 5]),
            p_obs=st.floats(0.2, 1.0), form=st.sampled_from(["agreement", "loglik"]),
            r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_circulant_blocks(self, n, m, p_obs, form, r, seed):
@@ -295,7 +331,7 @@ class TestAgainstEigh:
     # 1.827.  In the second, the main solve's Krylov space runs out after 11
     # columns, holding one of two copies of 7; only the columns that follow
     # find the other
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @example(n=3, m=5, corrupt=0.5, r=3, seed=3)
     @example(n=8, m=5, corrupt=0.1, r=2, seed=2281366652)
     @given(n=st.integers(1, 10), m=st.sampled_from([3, 5]), corrupt=st.floats(0.0, 1.0),
@@ -307,6 +343,61 @@ class TestAgainstEigh:
             obs, _ = sample_match_observations(n, m, corrupt, seed=seed)
         assert_matches_eigh(DenseBlockMatrix(obs), dense_match_expansion(obs),
                             min(r, n * m), seed)
+
+
+class TestLookTrigger:
+    def test_connected_sparse_m2_factors_without_look(self, monkeypatch):
+        # one real copy per channel, and the Krylov space far from running
+        # out: the main solve makes every column, within its first fill of
+        # 20, and the Ritz step none
+        rng = np.random.default_rng(3)
+        n = 400
+        obs = sample_observations(rng.integers(1, 3, n), random_corruption(0.4, 2),
+                                  20 * np.log(n) / n, seed=3)
+        L = build(obs, None, "agreement")
+        solves = count_solves(monkeypatch)
+        fac = orthogonal_iteration(L, r=2, tol=_WARM_START_TOL, seed=4)
+        assert len(solves) == 1 and fac.iterations == solves[0][1] < 20
+        assert_matches_eigh(L, dense_expansion(obs, L.h), 2, seed=4, tol=_WARM_START_TOL)
+
+    @pytest.mark.parametrize("k, m, r", [(10, 2, 3), (10, 3, 4), (20, 2, 3), (20, 5, 4)])
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    def test_isomorphic_forest(self, monkeypatch, k, m, r, tol):
+        # two copies of one tree repeat every eigenvalue within its channel,
+        # where neither the Krylov space nor the rotation holds the second
+        # copy; trees are bipartite, so the channel of a value t holds -t
+        # too, and the look runs
+        L, obs = isomorphic_forest(k, m, seed=k + m)
+        solves = count_solves(monkeypatch)
+        orthogonal_iteration(L, r=r, tol=tol, seed=r)
+        assert len(solves) > 1
+        assert_matches_eigh(L, dense_expansion(obs, L.h), r, seed=r, tol=tol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    def test_noiseless_needs_the_whole_orbit(self, monkeypatch, seed, tol):
+        # noiseless blocks repeat every eigenvalue once in each of the m
+        # channels, and one Krylov vector holds all m copies: its images
+        # under R and R^2 span them at m = 3, where R alone gives two
+        rng = np.random.default_rng(seed)
+        obs = sample_observations(rng.integers(1, 4, 80), random_corruption(1.0, 3), 0.1,
+                                  seed=seed)
+        L = build(obs, None, "agreement")
+        solves = count_solves(monkeypatch)
+        orthogonal_iteration(L, r=3, tol=tol, seed=seed)
+        assert len(solves) == 1
+        fac = assert_matches_eigh(L, dense_expansion(obs, L.h), 3, seed=seed, tol=tol)
+        np.testing.assert_allclose(fac.S, fac.S[0], rtol=10 * tol)
+
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    def test_complete_graph_still_looks(self, monkeypatch, tol):
+        # at 1e-8 the main solve stops before its Krylov space runs out, and
+        # channel 0 holds h_0 (n - 1) and one copy of -h_0 among the top 4;
+        # at the warm-start tol the space runs out first
+        L, obs = circulant_instance(5, 5, 1.0, "loglik", 0)
+        solves = count_solves(monkeypatch)
+        orthogonal_iteration(L, r=4, tol=tol, seed=0)
+        assert len(solves) > 1
 
 
 class TestInitialGuess:
