@@ -22,7 +22,6 @@ Usage:
 """
 
 import argparse
-import warnings
 
 from ppmalign import (
     ExperimentConfig,
@@ -51,10 +50,7 @@ def main():
         policy=ScalingPolicy.over_sigma_m(20.0), trials=args.trials, seed=2,
         init_iters=60, early_stop=True,
     )
-    # weak-signal cells legitimately stop the factorization at its budget
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        rows = run_sweep(cfg)
+    rows = run_sweep(cfg)
 
     print(f"{'sigma':>6} {'KL_min':>8} {'KL/thr':>7} {'exact':>6} {'mean MCR':>9}")
     for sigma, r in zip(grid, rows):

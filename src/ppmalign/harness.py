@@ -13,7 +13,6 @@ file values; unknown and repeated keys are rejected.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .blockmat import FORMS, build
 from .exceptions import ConfigError
 from .likelihood import (
     NoiseDistribution,
+    _csv_text,
     modified_gaussian,
     random_corruption,
     regularize,
@@ -103,6 +103,9 @@ class ExperimentConfig:
             if len(self.custom_p0) != self.m:
                 raise ConfigError(f"p0: must be a length-m pmf, got {len(self.custom_p0)} "
                                   f"entries for m={self.m}")
+            if len(self.param_grid) > 1:
+                raise ConfigError(f"param: model custom_p0 reads no noise parameter, so every "
+                                  f"value would sample one pmf; got {self.param_grid}")
         # the noise model's own constructor is the one check of its parameters
         key = "p0" if self.model == "custom_p0" else "param"
         for param in self.param_grid:
@@ -198,14 +201,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 def sweep_csv(cfg: ExperimentConfig) -> str:
     """Run the sweep and render the canonical CSV (LF endings, 6 sig digits)."""
-    buf = io.StringIO()
-    buf.write(SWEEP_HEADER + "\n")
-    for r in run_sweep(cfg):
-        buf.write(
-            f"{r['n']},{_fmt(r['param'])},{r['m']},{_fmt(r['p_obs'])},{r['trials']},"
-            f"{_fmt(r['mean_mcr'])},{_fmt(r['exact_recovery_frac'])},{_fmt(r['mean_iters'])}\n"
-        )
-    return buf.getvalue()
+    return _csv_text(SWEEP_HEADER, (
+        (r["n"], _fmt(r["param"]), r["m"], _fmt(r["p_obs"]), r["trials"],
+         _fmt(r["mean_mcr"]), _fmt(r["exact_recovery_frac"]), _fmt(r["mean_iters"]))
+        for r in run_sweep(cfg)))
 
 
 def run_single(cfg: ExperimentConfig, truth_echo: bool = False) -> str:
@@ -222,16 +221,12 @@ def run_single(cfg: ExperimentConfig, truth_echo: bool = False) -> str:
 
 def threshold_table(n_grid, m: int, p_obs: float) -> str:
     """Recovery threshold table for the random-corruption model per n."""
-    buf = io.StringIO()
-    buf.write(THRESHOLD_HEADER + "\n")
+    rows = []
     for n in n_grid:
         pi_s = threshold_random_corruption(n, m, p_obs, constant=1.01)
         pi_n = threshold_random_corruption(n, m, p_obs, constant=0.99)
-        kl_s, kl_n = threshold_kl(n, p_obs)
-        buf.write(
-            f"{n},{m},{_fmt(p_obs)},{_fmt(pi_s)},{_fmt(pi_n)},{_fmt(kl_s)},{_fmt(kl_n)}\n"
-        )
-    return buf.getvalue()
+        rows.append((n, m, *map(_fmt, (p_obs, pi_s, pi_n, *threshold_kl(n, p_obs)))))
+    return _csv_text(THRESHOLD_HEADER, rows)
 
 
 # --- configuration text handling -------------------------------------------

@@ -22,7 +22,6 @@ to its full size, surplus past the last pair included, before any noise.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -202,11 +201,7 @@ class PairwiseObservations:
         return self.key.size
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,j,y\n")
-        for a, b, v in zip(self.i, self.j, self.y):
-            buf.write(f"{a},{b},{v}\n")
-        return buf.getvalue()
+        return _csv_text("i,j,y", zip(self.i, self.j, self.y))
 
     @classmethod
     def from_csv(cls, text: str, n: int, m: int):
@@ -260,6 +255,12 @@ def _rising(i, j) -> bool:
     step = later > earlier
     step |= (later == earlier) & (i[1:] > i[:-1])
     return bool(step.all())
+
+
+def _csv_text(header: str, records) -> str:
+    """The headed CSV text ``_csv_records`` reads: one line per record, its
+    fields joined by commas, every line ending in LF."""
+    return "".join(f"{line}\n" for line in (header, *(",".join(map(str, r)) for r in records)))
 
 
 def _csv_records(text: str, header: str, kinds) -> list:
@@ -434,17 +435,15 @@ def _row_starts(n: int) -> np.ndarray:
     return rows * (2 * n - rows - 1) // 2
 
 
-def _pair_of_rank(k: np.ndarray, n: int, dtype, starts=None):
+def _pair_of_rank(k: np.ndarray, n: int, dtype, starts):
     """Unrank ascending lexicographic pair ranks k over n items to (a, b), a < b.
 
-    Row a starts at rank a(2n - a - 1)/2 (``starts``, computed when not
-    given), so counting the ranks below each row start gives every row's
-    share of k in exact integer arithmetic.  Only the rows k spans are
-    searched, so a chunk costs O(k.size + rows spanned).  Only the ranks
-    are int64; a and b come out in dtype.
+    Row a starts at rank a(2n - a - 1)/2 (``starts``, from ``_row_starts``),
+    so counting the ranks below each row start gives every row's share of
+    k in exact integer arithmetic.  Only the rows k spans are searched, so
+    a chunk costs O(k.size + rows spanned).  Only the ranks are int64; a
+    and b come out in dtype.
     """
-    if starts is None:
-        starts = _row_starts(n)
     if k.size == 0:
         return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
     first = int(np.searchsorted(starts, k[0], side="right")) - 1

@@ -20,13 +20,12 @@ matrix form P[a, p[a]] = 1.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .likelihood import _csv_records, _edge_list, _index_dtype, _observed_pairs
+from .likelihood import _csv_records, _csv_text, _edge_list, _index_dtype, _observed_pairs
 from .solver import _power_loop
 from .spectral import _WARM_START_TOL, orthogonal_iteration
 
@@ -243,15 +242,9 @@ class MatchObservations:
         return self.ii.size
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,j,row,col,value\n")
-        for e in range(self.n_edges):
-            for a in range(self.m):
-                for b in range(self.m):
-                    buf.write(
-                        f"{self.ii[e]},{self.jj[e]},{a},{b},{self.blocks[e, a, b]:.17g}\n"
-                    )
-        return buf.getvalue()
+        return _csv_text("i,j,row,col,value", (
+            (self.ii[e], self.jj[e], a, b, f"{self.blocks[e, a, b]:.17g}")
+            for e in range(self.n_edges) for a in range(self.m) for b in range(self.m)))
 
     @classmethod
     def from_csv(cls, text: str, n: int, m: int):
@@ -400,13 +393,9 @@ class MatchReport:
         return float(self.mismatch_trace[-1])
 
     def estimates_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,feature,assigned\n")
         n, m = self.perms.shape
-        for i in range(n):
-            for a in range(m):
-                buf.write(f"{i},{a},{self.perms[i, a]}\n")
-        return buf.getvalue()
+        return _csv_text("i,feature,assigned",
+                         ((i, a, self.perms[i, a]) for i in range(n) for a in range(m)))
 
 
 def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchReport:
@@ -428,8 +417,7 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
     rng = np.random.default_rng(seed)
     fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
-    col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
-    perms = _assign(col_block.reshape(n, m, m))
+    perms = _assign(fac.columns(slice(c * m, (c + 1) * m)).reshape(n, m, m))
     rows, feats = np.arange(n)[:, None], np.arange(m)[None, :]
 
     def step(cur):

@@ -16,13 +16,13 @@ unidentifiable from pairwise differences.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import MissingSigmaError
+from .likelihood import _csv_text
 from .simplex import project_blockwise
 
 # finite-mu fixed-point tolerance for early stopping
@@ -135,18 +135,13 @@ class SolveReport:
 
     def trace_csv(self) -> str:
         """Per-iteration error trace plus a summary comment line."""
-        if self.iterates_mcr is None:
-            raise ValueError("run had no ground truth; no error trace")
-        buf = io.StringIO()
-        buf.write("t,mcr\n")
-        for t, v in enumerate(self.iterates_mcr):
-            buf.write(f"{t},{v:.6g}\n")
+        final = self.final_mcr
         mu = "inf" if math.isinf(self.mu_used) else f"{self.mu_used:.6g}"
-        buf.write(
-            f"# final_mcr={self.final_mcr:.6g} iterations={self.iterations_run}"
+        rows = ((t, f"{v:.6g}") for t, v in enumerate(self.iterates_mcr))
+        return _csv_text("t,mcr", rows) + (
+            f"# final_mcr={final:.6g} iterations={self.iterations_run}"
             f" converged={self.converged} mu={mu}\n"
         )
-        return buf.getvalue()
 
 
 def _period(new, cur, prev) -> int:
@@ -276,9 +271,10 @@ def check_contraction(L, truth, policy: ScalingPolicy, trials: int = 100,
     """Probe whether one iteration shrinks the error near the truth.
 
     Draws corrupted copies of the truth with misclassification rate at most
-    0.49, applies a single update, and reports the worst ratio of after to
-    before error.  A max ratio below 1 is the empirical signature of the
-    basin of attraction; above 1 flags non-contraction.
+    0.49, runs ``solve`` from each for a single step, and reports the worst
+    ratio of the two error entries of its trace, after to before.  A max
+    ratio below 1 is the empirical signature of the basin of attraction;
+    above 1 flags non-contraction.
     """
     truth_arr = np.asarray(truth, dtype=np.int64)
     n, m = L.n, L.m
@@ -288,7 +284,6 @@ def check_contraction(L, truth, policy: ScalingPolicy, trials: int = 100,
         raise ValueError("need n >= 2: one item has no error modulo the global shift")
     if trials < 1:
         raise ValueError("need at least one probe")
-    mu = policy.resolve_mu(sigmas, m)
     rng = np.random.default_rng(seed)
     k_max = max(1, int(math.floor(0.49 * n)))
     ratios = np.empty(trials)
@@ -297,9 +292,7 @@ def check_contraction(L, truth, policy: ScalingPolicy, trials: int = 100,
         pos = rng.choice(n, size=k, replace=False)
         corrupted = truth_arr.copy()
         corrupted[pos] = ((corrupted[pos] - 1 + rng.integers(1, m, size=k)) % m) + 1
-        before = mcr(corrupted, truth_arr, m)
-        z1 = project_blockwise(L.matvec(lift(corrupted, m)), mu)
-        after = mcr(labels_of(z1), truth_arr, m)
+        before, after = solve(L, lift(corrupted, m), policy, 1, truth_arr, sigmas).iterates_mcr
         ratios[t] = after / before
     mx = float(ratios.max())
     return ContractionReport(ratios=ratios, max_ratio=mx, contracted=mx < 1.0)

@@ -23,6 +23,9 @@ an operator with a rotation only where a copy can hide.  The harness's
 factor to tol = ``_WARM_START_TOL``.  The operator only needs ``shape`` and
 products with (N, k) matrices, so both the circulant-block and the
 dense-block operators plug in.
+
+The factor is U with the signed eigenvalues theta; ``LowRankFactor.columns``
+reads U diag(theta) U^T off it for both ``initial_guess`` and ``match_solve``.
 """
 
 from __future__ import annotations
@@ -41,22 +44,26 @@ _WARM_START_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class LowRankFactor:
-    """Rank-r factorization U diag(S) V^T of a symmetric operator, r = S.size.
+    """Rank-r eigenfactorization U diag(theta) U^T of a symmetric operator.
 
-    S holds singular values in nonincreasing order; V equals U with columns
-    flipped by the sign of the corresponding eigenvalue.
+    theta holds the r signed eigenvalues by decreasing magnitude and U their
+    orthonormal eigenvectors; S = |theta| are the singular values.
     """
 
     U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
+    theta: np.ndarray
     converged: bool
     residual: float
     iterations: int
 
-    def column(self, c: int) -> np.ndarray:
-        """Column c of the low-rank approximation U diag(S) V^T."""
-        return self.U @ (self.S * self.V[c, :])
+    @property
+    def S(self) -> np.ndarray:
+        """Singular values |theta|, nonincreasing."""
+        return np.abs(self.theta)
+
+    def columns(self, c) -> np.ndarray:
+        """Column c, or the columns of a slice c, of U diag(theta) U^T."""
+        return self.U @ (self.theta * self.U[c]).T
 
 
 # Daniel, Gragg, Kaufman & Stewart (1976): when a second pass keeps less
@@ -201,11 +208,11 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
     Returns
     -------
     LowRankFactor
-        Singular vectors and values of the dominant subspace, obtained by
-        a final Rayleigh-Ritz step, ordered by decreasing magnitude, with
-        residual max_k ||L u_k - theta_k u_k|| / |theta_1|, converged when
-        it is at most tol, and iterations counting operator columns: those
-        of the Lanczos solve, and of the look where it runs.
+        Eigenvectors and signed eigenvalues of the dominant subspace,
+        obtained by a final Rayleigh-Ritz step, ordered by decreasing
+        magnitude, with residual max_k ||L u_k - theta_k u_k|| / |theta_1|,
+        converged when it is at most tol, and iterations counting operator
+        columns: those of the Lanczos solve, and of the look where it runs.
     """
     n = op.shape[0]
     if not 1 <= r <= n:
@@ -282,14 +289,14 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
             break
         u, theta, lu = ritz(np.hstack([u, w]), np.hstack([lu, apply(w)]))
     residual = float(np.linalg.norm(lu - u * theta, axis=0).max() / max(abs(theta[0]), 1e-300))
-    signs = np.where(theta >= 0, 1.0, -1.0)
-    return LowRankFactor(U=u, S=np.abs(theta), V=u * signs,
-                         converged=residual <= tol, residual=residual, iterations=cols)
+    return LowRankFactor(U=u, theta=theta, converged=residual <= tol, residual=residual,
+                         iterations=cols)
+
 
 def initial_guess(L, fac: LowRankFactor, mu0: float, seed: int) -> np.ndarray:
     """Feasible starting blocks from one column of the low-rank approximation.
 
-    Picks a uniformly random column of U diag(S) V^T, reshapes it into n
+    Picks a uniformly random column of U diag(theta) U^T, reshapes it into n
     blocks, and projects each block with scaling mu0 (``math.inf`` rounds
     to vertices).
 
@@ -298,5 +305,5 @@ def initial_guess(L, fac: LowRankFactor, mu0: float, seed: int) -> np.ndarray:
     n, m = L.n, L.m
     rng = np.random.default_rng(seed)
     c = int(rng.integers(0, n * m))
-    zhat = fac.column(c).reshape(n, m)
+    zhat = fac.columns(c).reshape(n, m)
     return project_blockwise(zhat, mu0)

@@ -373,7 +373,7 @@ def full_budget_match_solve(obs, T, seed, truth=None):
     rng = np.random.default_rng(seed)
     fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
-    col_block = (fac.U * fac.S) @ fac.V[c * m:(c + 1) * m, :].T  # (nm, m)
+    col_block = (fac.U * fac.theta) @ fac.U[c * m:(c + 1) * m, :].T  # (nm, m)
     zb = col_block.reshape(n, m, m)
     perms = np.stack([per_block_lap_project(zb[i]) for i in range(n)])
     trace = None

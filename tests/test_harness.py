@@ -162,6 +162,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="p0"):
             ExperimentConfig(model="custom_p0", m=3, custom_p0=(0.5, 0.5))
 
+    def test_custom_takes_one_param(self):
+        # the pmf ignores param, so a grid would label copies of one cell
+        with pytest.raises(ConfigError, match="^param: model custom_p0"):
+            ExperimentConfig(model="custom_p0", m=2, custom_p0=(0.9, 0.1), param_grid=(0.1, 0.2))
+
     def test_pmf_needs_custom_model(self):
         for model, m in (("random_corruption", 3), ("modified_gaussian", 3)):
             with pytest.raises(ConfigError, match="p0: only model custom_p0"):
@@ -355,6 +360,12 @@ class TestCli:
         res = cli("align", "--n", "10", "--model", "custom_p0", "--p0", "0.5,0.4999999999")
         assert res.returncode == 2 and "p0" in res.stderr
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+        # a param grid is refused, not ignored, under the model that reads no param
+        res = cli("sweep", "--model", "custom_p0", "--p0", "0.9,0.1", "--m", "2",
+                  "--pi0", "0.1,0.2", "--n", "20", "--trials", "2")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: param:") and len(res.stderr.splitlines()) == 1
 
         # a pmf is refused, not ignored, under a model that does not read it
         res = cli("align", "--n", "30", "--p0", "0.5,0.5,0")

@@ -30,6 +30,7 @@ from ppmalign.likelihood import (
     _edge_list,
     _observed_pairs,
     _pair_of_rank,
+    _row_starts,
     kl_min_max,
     modified_gaussian,
     random_corruption,
@@ -506,7 +507,8 @@ class TestPairSampler:
         first = a * (2 * n - a - 1) // 2
         last = first + (n - 2 - a)
         # ascending: each row's first rank, then its last
-        rows, cols = _pair_of_rank(np.stack([first, last], axis=1).ravel(), n, np.int32)
+        rows, cols = _pair_of_rank(np.stack([first, last], axis=1).ravel(), n, np.int32,
+                                   _row_starts(n))
         np.testing.assert_array_equal(rows, np.repeat(a, 2))
         np.testing.assert_array_equal(
             cols, np.stack([a + 1, np.full(a.size, n - 1)], axis=1).ravel())
@@ -517,7 +519,7 @@ class TestPairSampler:
     def test_unrank_matches_triu_indices(self, seed, n, density):
         total = n * (n - 1) // 2
         k = np.flatnonzero(np.random.default_rng(seed).random(total) < density)
-        rows, cols = _pair_of_rank(k, n, np.int32)
+        rows, cols = _pair_of_rank(k, n, np.int32, _row_starts(n))
         ra, rb = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(rows, ra[k])
         np.testing.assert_array_equal(cols, rb[k])

@@ -374,6 +374,10 @@ class TestObservations:
         for a, b in zip(obs.ii.tolist(), obs.jj.tolist()):
             np.testing.assert_array_equal(match_block(again, a, b), match_block(obs, a, b))
 
+    def test_csv_of_no_pairs_is_the_header(self):
+        obs = MatchObservations(n=1, m=3, ii=[], jj=[], blocks=np.empty((0, 3, 3)))
+        assert obs.to_csv() == "i,j,row,col,value\n"
+
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             MatchObservations.from_csv("a,b,c\n", n=2, m=2)

@@ -75,11 +75,13 @@ class TestOrthogonalIteration:
         L, _ = recovery_instance(40, 3, 0.6, seed=0)
         fac = orthogonal_iteration(L, r=3, seed=1)
         np.testing.assert_allclose(fac.U.T @ fac.U, np.eye(3), atol=1e-10)
-        assert np.all(np.diff(fac.S) <= 1e-12) and np.all(fac.S >= 0)
-        # V columns are U columns up to eigenvalue sign
-        signs = np.sum(fac.V * fac.U, axis=0)
-        np.testing.assert_allclose(np.abs(signs), 1.0, atol=1e-10)
-        np.testing.assert_allclose(fac.V, fac.U * signs, atol=1e-10)
+        # theta is signed and ordered by magnitude; S is its magnitude, bit for bit
+        assert np.all(np.diff(np.abs(fac.theta)) <= 0)
+        assert fac.S.tobytes() == np.abs(fac.theta).tobytes()
+        # an index reads one column, a slice a block of them, off U diag(theta) U^T
+        full = (fac.U * fac.theta) @ fac.U.T
+        np.testing.assert_allclose(fac.columns(5), full[:, 5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fac.columns(slice(3, 6)), full[:, 3:6], rtol=0, atol=1e-12)
 
     def test_top_singular_values_match_dense(self):
         # strong-signal instance: the subspace boundary gap is healthy
@@ -98,7 +100,7 @@ class TestOrthogonalIteration:
         r = 4
         opt = np.linalg.norm(dense - (u[:, :r] * s[:r]) @ vt[:r], "fro")
         fac = orthogonal_iteration(L, r=r, seed=5, max_iters=500)
-        mine = np.linalg.norm(dense - (fac.U * fac.S) @ fac.V.T, "fro")
+        mine = np.linalg.norm(dense - fac.columns(slice(None)), "fro")
         assert mine <= opt * (1.0 + 1e-5)
         assert mine >= opt * (1.0 - 1e-12)
 
@@ -154,8 +156,7 @@ class TestOrthogonalIteration:
         L, _ = recovery_instance(40, 3, 0.6, seed=0)
         for op in (DenseOp(CLUSTERED), L):
             fac = orthogonal_iteration(op, r=3, max_iters=cap, tol=tol, seed=1)
-            theta = fac.S * np.sign(np.sum(fac.V * fac.U, axis=0))
-            want = (np.linalg.norm(op.matmat(fac.U) - fac.U * theta, axis=0).max()
+            want = (np.linalg.norm(op.matmat(fac.U) - fac.U * fac.theta, axis=0).max()
                     / fac.S[0])
             assert fac.residual == pytest.approx(want, rel=1e-6, abs=1e-14)
             assert fac.converged == (fac.residual <= tol)
@@ -210,17 +211,18 @@ class TestOrthogonalIteration:
 
     def test_signed_spectrum(self):
         # magnitudes govern: a large negative eigenvalue outranks smaller
-        # positive ones, and V records its sign
+        # positive ones, and theta keeps its sign
         a = np.diag([-5.0, 3.0, 1.0])
         fac = orthogonal_iteration(DenseOp(a), r=2, seed=2)
+        np.testing.assert_allclose(fac.theta, [-5.0, 3.0], atol=1e-8)
         np.testing.assert_allclose(fac.S, [5.0, 3.0], atol=1e-8)
-        np.testing.assert_allclose((fac.U * fac.S) @ fac.V.T, np.diag([-5.0, 3.0, 0.0]),
+        np.testing.assert_allclose(fac.columns(slice(None)), np.diag([-5.0, 3.0, 0.0]),
                                    atol=1e-7)
 
 
 def assert_matches_eigh(op, dense, r, seed, tol=1e-8):
     """S is the top-r |eigenvalue|, U spans a gapped eigenspace, and one
-    seed gives bit-identical output; returns the factor."""
+    seed gives bit-identical U and theta; returns the factor."""
     lam, vec = np.linalg.eigh(dense)
     order = np.argsort(-np.abs(lam), kind="stable")
     mags = np.abs(lam[order])
@@ -236,7 +238,7 @@ def assert_matches_eigh(op, dense, r, seed, tol=1e-8):
         np.testing.assert_allclose(fac.U @ fac.U.T, top @ top.T,
                                    atol=max(1e-5, np.sqrt(r) * tol * scale / gap))
     again = orthogonal_iteration(op, r=r, tol=tol, seed=seed)
-    for name in ("U", "S", "V"):
+    for name in ("U", "theta"):
         np.testing.assert_array_equal(getattr(fac, name), getattr(again, name))
     assert (fac.residual, fac.iterations) == (again.residual, again.iterations)
     return fac
