@@ -7,8 +7,11 @@ sweep       Monte Carlo grid over n and the noise parameter, aggregate CSV
 match       joint feature matching on loaded or synthetic correspondences
 thresholds  recovery threshold table for the random-corruption model
 
-All output goes to --out (LF endings) or stdout.  Exit status is 0 on
-success and 2 on any configuration problem.
+One table declares the flags of all four.  Their values stay text and are
+parsed by the config key table, as a config file's are.  A flag the run
+would not read is an error: --pi0 or --sigma under another model, and
+--corrupt with --obs.  All output goes to --out (LF endings) or stdout.
+Exit status is 0 on success and 2 on any configuration problem.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .exceptions import ConfigError, MissingSigmaError
 from .harness import (
     _CONFIG_KEYS,
     MODELS,
+    ExperimentConfig,
+    _to_float,
+    _to_int,
     build_config,
     parse_config_text,
     run_single,
@@ -41,27 +47,11 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise ConfigError(f"out: cannot write {out_path!r}: {exc}") from None
 
 
-def _add_common_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
-    # values stay strings: the config key table parses flags and file alike
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", help="master seed")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--n", help="number of items" + (", comma list allowed" if sweep else ""))
-    p.add_argument("--m", help="number of labels")
-    p.add_argument("--pobs", help="pair observation probability")
-    p.add_argument("--pi0", help="non-corruption rate(s) for random_corruption")
-    p.add_argument("--sigma", help="noise width(s) for modified_gaussian")
-    p.add_argument("--p0", help="comma pmf for model custom_p0")
-    p.add_argument("--mu", help="scaling policy: inf, c/sigma2, c/sigmam, or a number")
-    p.add_argument("--form", choices=FORMS)
-    p.add_argument("--iters", help="iteration budget (default: ceil(3 ln n))")
-    if sweep:
-        p.add_argument("--trials", help="trials per grid cell")
-
-
-# config keys that a flag of the same name sets; --pi0 and --sigma set "param"
-_FLAG_KEYS = ("model", "n", "m", "pobs", "p0", "mu", "form", "iters", "seed", "out", "trials")
+def _flag(args: argparse.Namespace, key: str, default=None, parse=None):
+    """The flag's text through ``parse``, by default the parser of its config key;
+    ``default`` when the flag is not given."""
+    text = getattr(args, key)
+    return default if text is None else (parse or _CONFIG_KEYS[key][1])(key, text)
 
 
 def _config_mapping(args: argparse.Namespace) -> dict[str, str]:
@@ -72,75 +62,104 @@ def _config_mapping(args: argparse.Namespace) -> dict[str, str]:
                 mapping = parse_config_text(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from None
-    if args.pi0 is not None and args.sigma is not None:
-        raise ConfigError("give either --pi0 or --sigma, not both")
-    overrides = {key: getattr(args, key, None) for key in _FLAG_KEYS}
-    overrides["param"] = args.pi0 if args.pi0 is not None else args.sigma
-    mapping.update({k: v for k, v in overrides.items() if v is not None})
+    mapping.update({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None})
+    model = mapping.get("model", ExperimentConfig.model).strip()
+    # each flag sets the noise parameter ("param") of one model
+    for flag, owner in (("pi0", "random_corruption"), ("sigma", "modified_gaussian")):
+        if getattr(args, flag) is not None:
+            if model != owner:
+                raise ConfigError(f"param: --{flag} is the noise parameter of model {owner} "
+                                  f"only, got model {model!r}")
+            mapping["param"] = getattr(args, flag)
     return mapping
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
+def _cmd_align(args: argparse.Namespace) -> None:
     cfg, out = build_config(_config_mapping(args))
     _write_output(run_single(cfg, truth_echo=args.truth_echo), out)
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     cfg, out = build_config(_config_mapping(args))
     _write_output(sweep_csv(cfg), out)
-    return 0
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
+def _cmd_thresholds(args: argparse.Namespace) -> None:
     if args.n is None:
         raise ConfigError("n: thresholds needs --n")
     # no ExperimentConfig: it would build a length-m pmf; the threshold functions check values
-    n_grid, m, p_obs = (_CONFIG_KEYS[k][1](k, getattr(args, k)) for k in ("n", "m", "pobs"))
+    n_grid, m, p_obs = _flag(args, "n"), _flag(args, "m", 2), _flag(args, "pobs", 1.0)
     try:
         table = threshold_table(n_grid, m, p_obs)
     except (ValueError, OverflowError) as exc:  # OverflowError: an n or m beyond float
         raise ConfigError(f"thresholds: {exc}") from None
     _write_output(table, args.out)
-    return 0
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
-    if args.iters is not None and args.iters < 0:
+def _cmd_match(args: argparse.Namespace) -> None:
+    n, corrupt = _flag(args, "n", 50, _to_int), _flag(args, "corrupt", 0.3, _to_float)
+    m, seed, iters = _flag(args, "m", 10), _flag(args, "seed", 0), _flag(args, "iters", 50)
+    if iters < 0:
         raise ConfigError("iters: must be >= 0")
-    if args.seed < 0:
+    if seed < 0:
         raise ConfigError("seed: must be >= 0")
-    iters = 50 if args.iters is None else args.iters
-    try:
-        n = None if args.n is None else int(args.n)
-    except ValueError:
-        raise ConfigError(f"n: expected an integer, got {args.n!r}") from None
     truth = None
     if args.obs is not None:
-        if n is None or args.m is None:
+        if args.corrupt is not None:
+            raise ConfigError("corrupt: applies only to a synthetic instance, not to --obs")
+        if args.n is None or args.m is None:
             raise ConfigError("match: loading --obs needs --n and --m")
         try:
             with open(args.obs) as fh:
-                obs = MatchObservations.from_csv(fh.read(), n=n, m=args.m)
+                obs = MatchObservations.from_csv(fh.read(), n=n, m=m)
         except OSError as exc:
             raise ConfigError(f"obs: cannot read {args.obs!r}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"obs: {exc}") from None
     else:
-        n = 50 if n is None else n
-        m = 10 if args.m is None else args.m
         try:
-            obs, truth = sample_match_observations(n, m, args.corrupt, seed=args.seed)
+            obs, truth = sample_match_observations(n, m, corrupt, seed=seed)
         except ValueError as exc:
             raise ConfigError(f"match: {exc}") from None
         print(f"synthetic instance: input mismatch rate "
               f"{input_mismatch_rate(obs, truth):.4f}", file=sys.stderr)
-    rep = match_solve(obs, T=iters, seed=args.seed, truth=truth)
+    rep = match_solve(obs, T=iters, seed=seed, truth=truth)
     if truth is not None:
         print(f"final mismatch rate {rep.final_mismatch:.4f} "
               f"after {rep.iterations_run} iterations", file=sys.stderr)
     _write_output(rep.estimates_csv(), args.out)
-    return 0
+
+
+# flag -> help text
+_FLAGS = {
+    "config": "flat key = value config file",
+    "obs": "block CSV (i,j,row,col,value) to load",
+    "seed": "master seed",
+    "out": "output CSV path (default: stdout)",
+    "model": f"noise model, one of {', '.join(MODELS)}",
+    "n": "number of items; a comma list for sweep and thresholds",
+    "m": "number of labels, or features per item for match",
+    "pobs": "pair observation probability",
+    "pi0": "non-corruption rate(s), model random_corruption only",
+    "sigma": "noise width(s), model modified_gaussian only",
+    "p0": "comma pmf, model custom_p0 only",
+    "mu": "scaling policy: inf, c/sigma2, c/sigmam, or a number",
+    "form": f"matrix form, one of {', '.join(FORMS)}",
+    "corrupt": "corruption rate of the synthetic instance",
+    "iters": "iteration budget (align, sweep: ceil(3 ln n))",
+    "trials": "trials per grid cell",
+}
+_RUN_FLAGS = ("config", "seed", "out", "model", "n", "m", "pobs", "pi0", "sigma", "p0", "mu",
+              "form", "iters")
+# subcommand -> (handler, help, flags)
+_COMMANDS = {
+    "align": (_cmd_align, "single run with error trace", _RUN_FLAGS),
+    "sweep": (_cmd_sweep, "Monte Carlo phase-transition sweep", _RUN_FLAGS + ("trials",)),
+    "match": (_cmd_match, "joint feature matching; defaults n 50, m 10, corrupt 0.3, iters 50",
+              ("obs", "n", "m", "corrupt", "seed", "iters", "out")),
+    "thresholds": (_cmd_thresholds, "recovery threshold table; defaults m 2, pobs 1",
+                   ("n", "m", "pobs", "out")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,34 +176,13 @@ def make_parser() -> argparse.ArgumentParser:
         description="joint discrete alignment from noisy pairwise differences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_align = sub.add_parser("align", help="single run with error trace")
-    _add_common_flags(p_align, sweep=False)
-    p_align.add_argument("--truth-echo", action="store_true",
-                         help="append truth and estimate labels as comments")
-    p_align.set_defaults(func=_cmd_align)
-
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo phase-transition sweep")
-    _add_common_flags(p_sweep, sweep=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_match = sub.add_parser("match", help="joint feature matching")
-    p_match.add_argument("--obs", help="block CSV (i,j,row,col,value) to load")
-    p_match.add_argument("--n", help="number of items")
-    p_match.add_argument("--m", type=int, help="features per item")
-    p_match.add_argument("--corrupt", type=float, default=0.3,
-                         help="corruption rate for the synthetic instance")
-    p_match.add_argument("--seed", type=int, default=0)
-    p_match.add_argument("--iters", type=int, help="iteration budget (default 50)")
-    p_match.add_argument("--out", help="estimates CSV path (default: stdout)")
-    p_match.set_defaults(func=_cmd_match)
-
-    p_thr = sub.add_parser("thresholds", help="recovery threshold table")
-    p_thr.add_argument("--n", help="comma list of item counts")
-    p_thr.add_argument("--m", default="2", help="number of labels (default 2)")
-    p_thr.add_argument("--pobs", default="1", help="pair observation probability (default 1)")
-    p_thr.add_argument("--out")
-    p_thr.set_defaults(func=_cmd_thresholds)
+    for name, (func, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=_FLAGS[flag])
+        p.set_defaults(func=func)
+    sub.choices["align"].add_argument("--truth-echo", action="store_true",
+                                      help="append truth and estimate labels as comments")
     return parser
 
 
@@ -192,10 +190,11 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ConfigError, MissingSigmaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ppmalign.cli
 import ppmalign.harness as harness
 from ppmalign.exceptions import ConfigError
 from ppmalign.harness import (
@@ -32,6 +34,7 @@ from ppmalign.harness import (
     threshold_table,
 )
 from ppmalign.likelihood import threshold_kl, threshold_random_corruption
+from ppmalign.matching import sample_match_observations
 from ppmalign.solver import ScalingPolicy
 from ppmalign.spectral import _WARM_START_TOL
 
@@ -41,6 +44,20 @@ def cli(*argv, **kw):
         [sys.executable, "-m", "ppmalign.cli", *argv],
         capture_output=True, text=True, **kw,
     )
+
+
+def _cli_in_process(argv):
+    """``cli.main`` run in this process, with every warning an error, as the
+    ``CompletedProcess`` that ``cli`` returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            status = ppmalign.cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return subprocess.CompletedProcess(argv, status, out.getvalue(), err.getvalue())
 
 
 class TestConfigText:
@@ -350,27 +367,38 @@ class TestCli:
         res = cli("align", "--n", "20", "--pi0", "0.5", "--mu", "fast")
         assert res.returncode == 2 and "mu" in res.stderr
 
-        res = cli("align", "--n", "20", "--pi0", "0.5", "--sigma", "1.0")
-        assert res.returncode == 2
-
         res = cli("thresholds")
         assert res.returncode == 2 and "error:" in res.stderr
 
+        # the cases below run in process; the entry point is covered above and by
+        # the subprocess in test_match_bad_inputs_exit_2
         # a pmf off by 1e-10 is refused by the config, not by a traceback
-        res = cli("align", "--n", "10", "--model", "custom_p0", "--p0", "0.5,0.4999999999")
+        res = _cli_in_process(["align", "--n", "10", "--model", "custom_p0",
+                               "--p0", "0.5,0.4999999999"])
         assert res.returncode == 2 and "p0" in res.stderr
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
-        # a param grid is refused, not ignored, under the model that reads no param
-        res = cli("sweep", "--model", "custom_p0", "--p0", "0.9,0.1", "--m", "2",
-                  "--pi0", "0.1,0.2", "--n", "20", "--trials", "2")
-        assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr.startswith("error: param:") and len(res.stderr.splitlines()) == 1
-
-        # a pmf is refused, not ignored, under a model that does not read it
-        res = cli("align", "--n", "30", "--p0", "0.5,0.5,0")
-        assert res.returncode == 2 and "p0" in res.stderr
-        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+        # a flag the run would not read is refused, not ignored: a param grid or
+        # a noise flag of another model, a pmf under a model that reads none, and
+        # a corruption rate for loaded observations
+        obs = tmp_path / "obs.csv"
+        obs.write_text(sample_match_observations(4, 2, 0.0, seed=5)[0].to_csv())
+        for prefix, argv in (
+                ("param", ["sweep", "--model", "custom_p0", "--p0", "0.9,0.1", "--m", "2",
+                           "--pi0", "0.1,0.2", "--n", "20", "--trials", "2"]),
+                ("param", ["align", "--n", "30", "--sigma", "0.9", "--iters", "2"]),
+                ("param", ["align", "--n", "20", "--pi0", "0.5", "--sigma", "1.0"]),
+                ("param", ["align", "--n", "30", "--m", "3", "--model", "modified_gaussian",
+                           "--pi0", "1.4", "--iters", "2"]),
+                ("param", ["sweep", "--n", "30", "--m", "2", "--model", "custom_p0",
+                           "--p0", "0.9,0.1", "--sigma", "3", "--trials", "1", "--iters", "2"]),
+                ("corrupt", ["match", "--obs", str(obs), "--n", "4", "--m", "2",
+                             "--corrupt", "7"]),
+                ("p0", ["align", "--n", "30", "--p0", "0.5,0.5,0"])):
+            res = _cli_in_process(argv)
+            assert res.returncode == 2 and res.stdout == "", argv
+            assert res.stderr.startswith(f"error: {prefix}:"), argv
+            assert len(res.stderr.splitlines()) == 1, argv
 
         dup = tmp_path / "dup.cfg"
         dup.write_text("n = 20\nm = 2\nn = 30\n")
@@ -379,10 +407,6 @@ class TestCli:
         binary = tmp_path / "binary.cfg"
         binary.write_bytes(b"n = 20\n# \xff\n")
         nowhere = str(tmp_path / "missing" / "out.csv")
-        from ppmalign.matching import sample_match_observations
-
-        obs = tmp_path / "obs.csv"
-        obs.write_text(sample_match_observations(4, 2, 0.0, seed=5)[0].to_csv())
         for argv in (["align", "--config", str(binary)],
                      ["align", "--n", "20", "--pi0", "0.9", "--iters", "2", "--out", nowhere],
                      ["match", "--obs", str(obs), "--n", "4", "--m", "2", "--out", nowhere],
@@ -405,16 +429,54 @@ class TestCli:
                      ["align", "--n", "30", "--m", "x"],
                      ["sweep", "--n", "30", "--trials", "x"],
                      ["align", "--n", "30", "--mu", "-1/sigma2"]):
-            res = cli(*argv)
+            res = _cli_in_process(argv)
             assert res.returncode == 2, argv
             assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1, argv
 
         # an empty graph has sigma_2 = 0, so a sigma_2 scaling cannot be set
         for cmd in ("align", "sweep"):
-            res = cli(cmd, "--n", "6", "--pobs", "0.01", "--mu", "10/sigma2", "--pi0", "0.5",
-                      "--seed", "3")
+            res = _cli_in_process([cmd, "--n", "6", "--pobs", "0.01", "--mu", "10/sigma2",
+                                   "--pi0", "0.5", "--seed", "3"])
             assert res.returncode == 2 and "singular value" in res.stderr
             assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    def test_flag_sets(self):
+        run = {"--config", "--seed", "--out", "--model", "--n", "--m", "--pobs", "--pi0",
+               "--sigma", "--p0", "--mu", "--form", "--iters"}
+        want = {
+            "align": run | {"--truth-echo"},
+            "sweep": run | {"--trials"},
+            "match": {"--obs", "--n", "--m", "--corrupt", "--seed", "--iters", "--out"},
+            "thresholds": {"--n", "--m", "--pobs", "--out"},
+        }
+        parser = ppmalign.cli.make_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(want)
+        for name, p in sub.choices.items():
+            actions = [a for a in p._actions if a.option_strings[0] != "-h"]
+            assert {s for a in actions for s in a.option_strings} == want[name], name
+            # every value stays text, for the key table to parse and default
+            for a in actions:
+                if a.dest != "truth_echo":
+                    assert a.type is a.choices is a.default is None, (name, a.dest)
+
+    def test_non_numbers_name_their_key(self):
+        # every integer or number flag given "x": (command, flag, key, other flags)
+        cases = [(cmd, flag, key, []) for cmd in ("align", "sweep")
+                 for flag, key in (("n", "n"), ("m", "m"), ("pobs", "pobs"), ("pi0", "param"),
+                                   ("p0", "p0"), ("iters", "iters"), ("seed", "seed"))]
+        cases += [(cmd, "sigma", "param", ["--model", "modified_gaussian"])
+                  for cmd in ("align", "sweep")]
+        cases += [("sweep", "trials", "trials", [])]
+        cases += [("match", flag, flag, []) for flag in ("n", "m", "corrupt", "seed", "iters")]
+        cases += [("thresholds", "n", "n", [])]
+        cases += [("thresholds", flag, flag, ["--n", "10"]) for flag in ("m", "pobs")]
+        for cmd, flag, key, rest in cases:
+            argv = [cmd, *rest, f"--{flag}", "x"]
+            res = _cli_in_process(argv)
+            assert res.returncode == 2 and res.stdout == "", argv
+            assert res.stderr.startswith(f"error: {key}: expected "), (argv, res.stderr)
+            assert len(res.stderr.splitlines()) == 1, argv
 
     def test_thresholds_table(self):
         res = cli("thresholds", "--n", "100,1000", "--m", "2")
@@ -425,8 +487,6 @@ class TestCli:
 
     def test_thresholds_allocate_no_pmf(self, capsys):
         # a config would build the length-m random_corruption pmf, 80 MB here
-        import ppmalign.cli
-
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
@@ -450,8 +510,6 @@ class TestCli:
         assert "final mismatch rate" in res.stderr
 
     def test_match_loads_observations(self, tmp_path):
-        from ppmalign.matching import sample_match_observations
-
         obs, _ = sample_match_observations(8, 3, 0.0, seed=4)
         path = tmp_path / "obs.csv"
         path.write_text(obs.to_csv())
@@ -464,8 +522,6 @@ class TestCli:
         assert res.returncode == 2 and "needs --n and --m" in res.stderr
 
     def test_match_bad_inputs_exit_2(self, tmp_path):
-        from ppmalign.matching import sample_match_observations
-
         obs, _ = sample_match_observations(4, 2, 0.0, seed=5)
         lines = obs.to_csv().splitlines()
         bad_files = {
@@ -481,8 +537,9 @@ class TestCli:
             path.write_text("\n".join(text) + "\n")
             runs.append(("--obs", str(path), "--n", "4", "--m", "2"))
         runs.append(("--obs", str(tmp_path / "range.csv"), "--n", "x", "--m", "2"))
-        for argv in runs:
-            res = cli("match", *argv)
+        # the first case runs the entry point, the rest run in process
+        for k, argv in enumerate(runs):
+            res = cli("match", *argv) if k == 0 else _cli_in_process(["match", *argv])
             assert res.returncode == 2, argv
             assert res.stderr.startswith("error:"), argv
             assert len(res.stderr.splitlines()) == 1, argv
@@ -541,21 +598,6 @@ def _fuzz_cases(draw):
     return base, tuple(changes), draw(_FILE_BYTES)
 
 
-def _cli_in_process(argv):
-    """Exit status and stderr of ``cli.main``, with every warning an error."""
-    import ppmalign.cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        try:
-            status = ppmalign.cli.main(argv)
-        except SystemExit as exc:
-            status = exc.code
-    return status, err.getvalue()
-
-
 class TestCliFuzz:
     # the examples are the inputs that once ended in a traceback: a projection
     # scaled past the float range, a Gaussian width whose square overflows or
@@ -579,6 +621,6 @@ class TestCliFuzz:
                         fh.write(blob)
                     flags[flag] = path
             argv = [command] + [f"{k}={v}" for k, v in flags.items() if v is not None]
-            status, err = _cli_in_process(argv)
-        assert status == 0 or (status == 2 and err.startswith("error:")
-                               and len(err.splitlines()) == 1), (argv, status, err)
+            res = _cli_in_process(argv)
+        assert res.returncode == 0 or (res.returncode == 2 and res.stderr.startswith("error:")
+                                       and len(res.stderr.splitlines()) == 1), res
