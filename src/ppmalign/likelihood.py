@@ -14,10 +14,11 @@ first argument puts mass where the second has none.
 Observed pairs are kept as one index-dtype key y n + i each, under a
 pointer over j, which is the operator's CSC input as it is.  The sampler
 works through the pairs in chunks of ``_CHUNK`` (2^16) pairs, so beside
-the keys it holds O(n + _CHUNK) memory.  Chunking keeps every output byte
-for byte because each draw reads the stream in order, and the chunks read
-it in the order whole-array draws would: every geometric block is drawn
-to its full size, surplus past the last pair included, before any noise.
+the keys it holds O(n + _CHUNK) memory; one search, ``_runs``, finds the
+runs of j a chunk spans.  Chunking keeps every output byte for byte, as
+each draw reads the stream in order, and the chunks read it in the order
+whole-array draws would: every geometric block is drawn to its full
+size, surplus past the last pair included, before any noise.
 """
 
 from __future__ import annotations
@@ -303,9 +304,10 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     Two passes over the pairs, each in chunks of ``_CHUNK``, keep the
     memory at about one index-dtype integer per pair: the first writes
     each pair's i into its key and counts the pairs per j, the second
-    draws the noise and adds y n to the keys.  The stream is read in the
-    order one whole-array draw of each kind would read it, so the chunk
-    size does not change the output.
+    draws eta by a search of the first m - 1 cdf entries, subtracts x_j
+    once per run of j and adds y n to the keys.  The stream is read in
+    the order whole-array draws would read it, so the chunk size does
+    not change the output.
 
     Parameters
     ----------
@@ -331,14 +333,15 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     x = x.astype(dtype, copy=False)
     rng = np.random.default_rng(seed)
     key, colptr = _pair_pattern(n, p_obs, rng, dtype)
-    cdf = np.cumsum(d.p0)
+    # eta counts the first m - 1 cdf entries at or below u, so it never passes m - 1
+    cdf = np.cumsum(d.p0)[:-1]
     for lo in range(0, key.size, _CHUNK):
         i = key[lo:lo + _CHUNK]
         eta = np.searchsorted(cdf, rng.random(i.size), side="right")
-        np.clip(eta, 0, m - 1, out=eta)
+        first, counts = _runs(colptr, np.arange(lo, lo + i.size))
         # y_ij = (x_i - x_j + eta) mod m, stored with i > j
         y = x[i]
-        y -= x[_cols_of(colptr, lo, lo + i.size, dtype)]
+        y -= np.repeat(x[first:first + counts.size], counts)
         y += eta
         y %= m
         y *= n
@@ -378,8 +381,8 @@ def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype):
     for k in _kept_ranks(total, p_obs, rng):
         if e + k.size > b.size:
             b = np.concatenate((b[:e], np.empty(k.size, dtype=dtype)))
-        a, b[e:e + k.size] = _pair_of_rank(k, n, dtype, starts)
-        colptr[a[0] + 1:a[-1] + 2] += np.bincount(a - a[0])
+        first, counts = _pair_of_rank(k, starts, b[e:e + k.size])
+        colptr[first + 1:first + 1 + counts.size] += counts
         e += k.size
     np.cumsum(colptr, out=colptr)
     return b[:e], colptr
@@ -435,34 +438,30 @@ def _row_starts(n: int) -> np.ndarray:
     return rows * (2 * n - rows - 1) // 2
 
 
-def _pair_of_rank(k: np.ndarray, n: int, dtype, starts):
-    """Unrank ascending lexicographic pair ranks k over n items to (a, b), a < b.
+def _pair_of_rank(k: np.ndarray, starts: np.ndarray, out: np.ndarray):
+    """Unrank ascending lexicographic pair ranks k to pairs (a, b), a < b.
 
     Row a starts at rank a(2n - a - 1)/2 (``starts``, from ``_row_starts``),
-    so counting the ranks below each row start gives every row's share of
-    k in exact integer arithmetic.  Only the rows k spans are searched, so
-    a chunk costs O(k.size + rows spanned).  Only the ranks are int64; a
-    and b come out in dtype.
+    so ``_runs`` gives each row's share of k in exact integer arithmetic,
+    at O(k.size + rows spanned) a chunk.  Each b goes to ``out`` in its
+    dtype; the rows come back as ``_runs`` gives them, none for empty k.
     """
     if k.size == 0:
-        return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
+        return 0, np.zeros(0, dtype=np.intp)
+    first, counts = _runs(starts, k)
+    rows = np.arange(first, first + counts.size)
+    # b = k - starts[a] + a + 1, and b < n, so the cast is exact
+    np.subtract(k, np.repeat(starts[rows] - rows - 1, counts), out=out, casting="unsafe")
+    return first, counts
+
+
+def _runs(starts: np.ndarray, k: np.ndarray):
+    """The run that k[0] falls in, and the count of k in each run from it to
+    the run of k[-1]; run r holds positions starts[r] up to starts[r + 1],
+    empty where starts repeat.  k is nonempty and ascending."""
     first = int(np.searchsorted(starts, k[0], side="right")) - 1
     end = int(np.searchsorted(starts, k[-1], side="right"))
-    rows = np.arange(first, end)
-    span = starts[first:end]
-    a = np.repeat(rows.astype(dtype), np.diff(np.searchsorted(k, span), append=k.size))
-    b = np.empty_like(a)
-    # b = k - starts[a] + a + 1, and b < n, so the cast is exact
-    np.subtract(k, (span - rows - 1)[a - first], out=b, casting="unsafe")
-    return a, b
-
-
-def _cols_of(colptr: np.ndarray, lo: int, hi: int, dtype) -> np.ndarray:
-    """Column of each stored position lo..hi-1 (lo < hi) under a CSC pointer."""
-    first = int(np.searchsorted(colptr, lo, side="right")) - 1
-    last = int(np.searchsorted(colptr, hi - 1, side="right")) - 1
-    bounds = np.clip(colptr[first:last + 2], lo, hi)
-    return np.repeat(np.arange(first, last + 1, dtype=dtype), np.diff(bounds))
+    return first, np.diff(np.searchsorted(k, starts[first + 1:end]), prepend=0, append=k.size)
 
 
 def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: int) -> PairwiseObservations:

@@ -427,7 +427,7 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
 
     truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
     score = None if truth_arr is None else (lambda p: mismatch_rate(p, truth_arr))
-    perms, trace, ran, met = _power_loop(perms, step, np.array_equal, T, True, score)
+    perms, trace, ran, met = _power_loop(perms, step, 0.0, T, True, score)
     return MatchReport(
         perms=perms,
         iterations_run=ran,

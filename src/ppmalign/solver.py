@@ -163,12 +163,12 @@ def _run_out_orbit(orbit, trace, left: int):
     return orbit[(left - 1) % period]
 
 
-def _power_loop(z, step, stalled, T: int, early_stop: bool, score=None):
+def _power_loop(z, step, tol: float, T: int, early_stop: bool, score=None):
     """Up to T steps z <- step(z); the loop of both problem families.
 
-    step is one operator product followed by the per-block projection,
-    stalled(new, cur) says whether a step met the stopping test, and
-    score, when given, maps an iterate to its trace entry.  Once an
+    step is one operator product followed by the per-block projection, a
+    step meets the stopping test when no entry moves by more than tol,
+    and score, when given, maps an iterate to its trace entry.  Once an
     iterate repeats bit for bit, the rest of the budget is run out around
     its orbit without further steps.
 
@@ -181,7 +181,7 @@ def _power_loop(z, step, stalled, T: int, early_stop: bool, score=None):
     while ran < T:
         z_new = step(z)
         ran += 1
-        met = bool(stalled(z_new, z))
+        met = bool(np.max(np.abs(z_new - z)) <= tol)
         period = _period(z_new, z, prev)
         prev, z = z, z_new
         if trace is not None:
@@ -241,12 +241,11 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
     mu = policy.resolve_mu(sigmas, L.m)
-    stalled = np.array_equal if math.isinf(mu) else (
-        lambda new, cur: np.max(np.abs(new - cur)) <= _STALL_TOL)
     truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
     score = None if truth_arr is None else (lambda z: mcr(labels_of(z), truth_arr, L.m))
+    tol = 0.0 if math.isinf(mu) else _STALL_TOL
     z, trace, ran, met = _power_loop(z, lambda z: project_blockwise(L.matvec(z), mu),
-                                     stalled, T, early_stop, score)
+                                     tol, T, early_stop, score)
     return SolveReport(
         estimate=labels_of(z),
         z=z,

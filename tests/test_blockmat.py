@@ -130,6 +130,8 @@ class TestBuild:
             build(obs, d, "raw")
         with pytest.raises(ValueError):
             build(obs, None, "loglik")
+        with pytest.raises(ValueError, match="distribution support and observation modulus differ"):
+            build(obs, NoiseDistribution(np.full(obs.m + 1, 1.0 / (obs.m + 1))), "loglik")
 
 
 class TestMatvec:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import math
@@ -298,6 +299,8 @@ class TestRuns:
                              T=3, seed=7),
             30, 0.01, 0, 0)
         assert iterations_to_recovery(hopeless) == math.inf
+        with pytest.raises(ValueError, match="run had no ground truth"):
+            iterations_to_recovery(dataclasses.replace(rep, iterates_mcr=None))
 
 
 class TestThresholdTable:

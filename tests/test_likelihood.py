@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     circulant_block,
     entropy,
+    examples,
     hellinger_sq,
     kl,
     one_shot_regularize_residues,
@@ -31,6 +32,7 @@ from ppmalign.likelihood import (
     _observed_pairs,
     _pair_of_rank,
     _row_starts,
+    _runs,
     kl_min_max,
     modified_gaussian,
     random_corruption,
@@ -95,6 +97,9 @@ class TestDistributions:
             NoiseDistribution(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             NoiseDistribution(np.array([1.2, -0.2]))
+        for p0 in ([1.0], np.full((2, 2), 0.25)):
+            with pytest.raises(ValueError, match=re.escape("pmf must be 1-d with m >= 2")):
+                NoiseDistribution(p0)
         d = NoiseDistribution(np.array([0.2, 0.5, 0.3]))
         assert d.m == 3 and d.min_mass == 0.2
 
@@ -297,6 +302,8 @@ class TestObservations:
             sample_observations([1, 4], d, 1.0, seed=0)
         with pytest.raises(ValueError):
             sample_observations([1, 2], d, 0.0, seed=0)
+        with pytest.raises(ValueError, match="need at least two items"):
+            sample_observations([1], d, 1.0, seed=0)
 
     @pytest.mark.parametrize("x", [[1.5, 2.7, 3.2], [1.0, 2.0, 3.0], [True, False, True]])
     def test_non_integer_labels_rejected(self, x):
@@ -334,6 +341,8 @@ class TestObservations:
         assert 0.1 < changed < 0.3
         again = regularize_observations(obs, 0.25, seed=2)
         np.testing.assert_array_equal(reg.y, again.y)
+        with pytest.raises(ValueError, match=re.escape("varsigma must lie in (0, 1)")):
+            regularize_observations(obs, 0.0, 0)
 
 
 def pairwise(n, i, j):
@@ -464,8 +473,13 @@ class _FixedGaps:
         return np.full(size, self.gap, dtype=np.int64)
 
 
+def _rows_of(first, counts):
+    """The row of each rank, from the (first row, counts) ``_pair_of_rank`` returns."""
+    return np.repeat(np.arange(first, first + counts.size), counts)
+
+
 class TestPairSampler:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
            p_obs=st.one_of(
                st.floats(min_value=1e-300, max_value=1.0),
@@ -507,22 +521,39 @@ class TestPairSampler:
         first = a * (2 * n - a - 1) // 2
         last = first + (n - 2 - a)
         # ascending: each row's first rank, then its last
-        rows, cols = _pair_of_rank(np.stack([first, last], axis=1).ravel(), n, np.int32,
-                                   _row_starts(n))
+        k = np.stack([first, last], axis=1).ravel()
+        cols = np.empty(k.size, dtype=np.int32)
+        rows = _rows_of(*_pair_of_rank(k, _row_starts(n), cols))
         np.testing.assert_array_equal(rows, np.repeat(a, 2))
         np.testing.assert_array_equal(
             cols, np.stack([a + 1, np.full(a.size, n - 1)], axis=1).ravel())
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
            density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     def test_unrank_matches_triu_indices(self, seed, n, density):
         total = n * (n - 1) // 2
         k = np.flatnonzero(np.random.default_rng(seed).random(total) < density)
-        rows, cols = _pair_of_rank(k, n, np.int32, _row_starts(n))
+        cols = np.empty(k.size, dtype=np.int32)
+        rows = _rows_of(*_pair_of_rank(k, _row_starts(n), cols))
         ra, rb = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(rows, ra[k])
         np.testing.assert_array_equal(cols, rb[k])
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(data=st.data(), offset=st.integers(0, 5),
+           sizes=st.lists(st.integers(0, 3), min_size=1, max_size=40).filter(any))
+    def test_runs_match_brute_force(self, data, offset, sizes):
+        # run lengths, 0 for the empty run that a repeated start makes, as
+        # an empty column does in a CSC pointer
+        starts = np.cumsum([offset, *sizes])
+        ends = [p for a, b in zip(starts[:-1], starts[1:]) if b > a for p in (a, b - 1)]
+        at = st.one_of(st.sampled_from(ends), st.integers(starts[0], starts[-1] - 1))
+        k = np.unique(data.draw(st.lists(at, min_size=1, max_size=20)))
+        runs = np.searchsorted(starts, k, "right") - 1
+        first, counts = _runs(starts, k)
+        assert first == runs[0]
+        np.testing.assert_array_equal(counts, np.bincount(runs - runs[0]))
 
     @pytest.mark.parametrize("p_obs", [0, -0.5, 1.5, math.nan])
     def test_rate_outside_unit_interval_rejected(self, p_obs):
@@ -631,7 +662,7 @@ class TestChunkedSampler:
         assert reg.colptr is obs.colptr
 
     @pytest.mark.parametrize("chunk", [None, 3], ids=["default", "three"])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(seed=st.integers(0, 2**32 - 2), n=st.integers(2, 400), m=st.integers(2, 9),
            p_obs=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_min=True),
                            st.sampled_from([1e-3, 0.5, 1.0 - 1e-9, 1.0])))

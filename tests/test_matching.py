@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -381,6 +382,9 @@ class TestObservations:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             MatchObservations.from_csv("a,b,c\n", n=2, m=2)
+        text = sample_match_observations(2, 1, 0.0, seed=0)[0].to_csv()
+        with pytest.raises(ValueError, match="need n >= 1 items and m >= 1 features"):
+            MatchObservations.from_csv(text, 0, 1)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ln: ln + ["3,0,0,0,1"], "0..2"),  # item index n
@@ -418,6 +422,11 @@ class TestObservations:
         with pytest.raises(ValueError, match="i > j"):
             MatchObservations(n=3, m=2, ii=np.array([1, 2]), jj=np.array([2, 1]),
                               blocks=blocks)
+        with pytest.raises(ValueError, match=re.escape("blocks must be (n_edges, m, m)")):
+            MatchObservations(n=3, m=2, ii=np.array([2, 2]), jj=np.array([0, 1]),
+                              blocks=np.ones((2, 3, 2)))
+        with pytest.raises(ValueError, match="need n >= 1 items and m >= 1 features"):
+            MatchObservations(0, 2, [], [], np.zeros((0, 2, 2)))
 
 
 class TestDenseBlockMatrix:

@@ -93,6 +93,8 @@ class TestMetrics:
             lift([0, 1], 3)
         with pytest.raises(ValueError):
             lift([1, 4], 3)
+        with pytest.raises(ValueError, match="labels must be 1-d"):
+            lift([[1, 2]], 3)
 
 
 class TestScalingPolicy:

@@ -122,6 +122,8 @@ class TestOrthogonalIteration:
             orthogonal_iteration(op, r=0)
         with pytest.raises(ValueError):
             orthogonal_iteration(op, r=5)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            orthogonal_iteration(op, r=1, max_iters=0)
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8])
     def test_tol_validation(self, tol):
