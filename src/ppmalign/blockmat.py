@@ -13,11 +13,12 @@ entry per pair; no edge list is kept.  L is symmetric, so the mirrored
 gathers use the transposes of the halves, CSC views of the same arrays.
 All indices are slices of one array, and all data is one shared array of
 ones, as long as the fullest half: about 8 B per pair in all at m = 2 and
-int32.  A product costs O(E m r) for the residue-sorted sparse gathers
-plus O(n m^2 r) for the circulant; no m x m block is stored per pair.  A
-gather takes all r m rolled columns through one multi-vector sparse
-product per shift and half, except for one column at m = 2, where scipy's
-1-D kernel runs once per shift and label, bit-identically and faster.
+int32.  A product takes one block vector, (n, m), and costs O(E m) for
+the residue-sorted sparse gathers plus O(n m^2) for the circulant; no
+m x m block is stored per pair.  Its gathers take the m rolled columns
+through one multi-vector sparse product per shift and half, except at
+m = 2, where scipy's 1-D kernel runs once per shift and label,
+bit-identically and faster.  matmat takes its columns one at a time.
 
 The build is one CSC-to-CSR conversion of the observations' stored
 pattern: their keys y n + i, in (j, i) order, are its row indices as
@@ -114,46 +115,29 @@ class CirculantBlockMatrix:
     def shape(self):
         return (self.n * self.m, self.n * self.m)
 
-    def _apply(self, zb):
-        """Product with blocks stacked in zb of shape (n, m) or (n, m, r)."""
-        single = zb.ndim == 2
-        if single:
-            zb = zb[:, :, None]
-        n, m, r = zb.shape
-        if m == 2 and r == 1:
-            acc = self._gather_column(zb[:, :, 0])
+    def _apply(self, z):
+        """Product with one block vector z of shape (n, m)."""
+        n, m = z.shape
+        acc = np.zeros((2, n, m))
+        if m == 2:
+            # on one half, scipy's 1-D kernel takes about a third of the time
+            # of its multi-vector kernel at two vectors (0.48 against 1.35 ms
+            # on a sparse-1e4 half), so one call per (shift, label) costs
+            # less, and it adds the same terms in the same order, so the sums
+            # are bit-identical.  At larger m the m^2 calls cost more than
+            # they save
+            for s in range(m):
+                for a in range(m):
+                    acc[0, :, a] += self._halves[s] @ z[:, (a - s) % m]
+                    acc[1, :, a] += self._transposes[-s % m] @ z[:, (a - s) % m]
         else:
-            # labels last, so that the circulant step is two 2-D products
-            # rather than n stacked ones; both transposes are free at r = 1
-            zt = np.ascontiguousarray(zb.transpose(0, 2, 1))
-            acc = np.zeros((2, n, r * m))
             # mirrored gathers in shift order too: taking half s with roll -s
             # adds the same terms in another order, which rounds differently
             for s in range(m):
-                zs = np.roll(zt, s, axis=2).reshape(n, r * m)
+                zs = np.roll(z, s, axis=1)
                 acc[0] += self._halves[s] @ zs
                 acc[1] += self._transposes[-s % m] @ zs
-            acc = acc.reshape(2, n * r, m)
-        out = (acc[0] @ self._g.T + acc[1] @ self._g).reshape(n, r, m).transpose(0, 2, 1)
-        return out[:, :, 0] if single else out
-
-    def _gather_column(self, z):
-        """The gathers of one column z, shape (n, m), as acc of shape (2, n, m).
-
-        On one half, scipy's 1-D kernel takes about a third of the time of
-        its multi-vector kernel at two vectors (0.48 against 1.35 ms on a
-        sparse-1e4 half), so one call per (shift, label) costs less, and it
-        adds the same terms in the same order, so the sums are
-        bit-identical.  At larger m the m^2 calls cost more than they save.
-        """
-        m = self.m
-        labels = np.ascontiguousarray(z.T)
-        acc = np.zeros((2, m, z.shape[0]))
-        for s in range(m):
-            for a in range(m):
-                acc[0, a] += self._halves[s] @ labels[(a - s) % m]
-                acc[1, a] += self._transposes[-s % m] @ labels[(a - s) % m]
-        return np.ascontiguousarray(acc.transpose(0, 2, 1))
+        return acc[0] @ self._g.T + acc[1] @ self._g
 
     def matvec(self, z):
         """Blockwise product: returns w with w_i = sum_j L_ij z_j, shape (n, m)."""
@@ -168,8 +152,10 @@ class CirculantBlockMatrix:
         nm = self.n * self.m
         if x.ndim != 2 or x.shape[0] != nm:
             raise ValueError(f"expected shape ({nm}, r)")
-        zb = x.reshape(self.n, self.m, x.shape[1])
-        return self._apply(zb).reshape(nm, x.shape[1])
+        out = np.empty(x.shape)
+        for k in range(x.shape[1]):
+            out[:, k] = self._apply(x[:, k].reshape(self.n, self.m)).ravel()
+        return out
 
     def rotate(self, x):
         """Every block of the (nm, r) columns x rolled by one residue."""

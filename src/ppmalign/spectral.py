@@ -191,12 +191,12 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
     ----------
     op : operator
         Anything with ``shape`` (N, N) and ``matmat`` mapping (N, k) to
-        (N, k).  Assumed symmetric; eigenvalues may have either sign.  An
-        optional ``rotate``, an orthogonal map of order ``m`` commuting with
-        it, supplies copies of repeated eigenvalues: for circulant blocks,
-        the images of a vector under its powers span the vector's part in
-        each frequency channel, so no copy that differs only by channel is
-        missed.
+        (N, k); every product takes one column, k = 1.  Assumed symmetric;
+        eigenvalues may have either sign.  An optional ``rotate``, an
+        orthogonal map of order ``m`` commuting with it, supplies copies of
+        repeated eigenvalues: for circulant blocks, the images of a vector
+        under its powers span the vector's part in each frequency channel,
+        so no copy that differs only by channel is missed.
     r : int
         Target rank, 1 <= r <= N.
     max_iters, tol : int, float

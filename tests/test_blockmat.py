@@ -14,6 +14,7 @@ from conftest import (
     circulant_block,
     dense_expansion,
     entropy,
+    examples,
     expected_matrix,
     kl,
     operator_block,
@@ -169,7 +170,7 @@ class TestMatvec:
         L = CirculantBlockMatrix(edges(5, 3, [], [], []), np.ones(3))
         np.testing.assert_array_equal(L.matvec(np.ones((5, 3))), np.zeros((5, 3)))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), m=st.integers(2, 33),
            p_obs=st.sampled_from((0.02, 0.1, 0.4, 1.0)), form=st.sampled_from(FORMS),
            data=st.data())
@@ -185,11 +186,18 @@ class TestMatvec:
         z = rng.standard_normal((n, m))
         w = rng.standard_normal((n, m))
         Lz = L.matvec(z)
+        assert np.array_equal(Lz, per_shift_product(L, z[:, :, None])[:, :, 0])
         scale = max(1.0, np.abs(dense).sum(axis=1).max())
         np.testing.assert_allclose(Lz.ravel(), dense @ z.ravel(), rtol=0, atol=1e-12 * scale)
         r = data.draw(st.integers(1, m), label="r")
         X = rng.standard_normal((n * m, r))
-        np.testing.assert_allclose(L.matmat(X), dense @ X, rtol=0, atol=1e-12 * scale)
+        LX = L.matmat(X)
+        np.testing.assert_allclose(LX, dense @ X, rtol=0, atol=1e-12 * scale)
+        # each column is its own product: BLAS may round a stacked circulant
+        # step differently from a one-column one (OpenBLAS's Haswell kernel
+        # does at m = 17 and 25, among others)
+        for k in range(r):
+            assert np.array_equal(LX[:, k], L.matvec(X[:, k].reshape(n, m)).ravel())
         # the blockwise roll permutes coordinates and commutes with L
         np.testing.assert_array_equal(np.sort(L.rotate(X), axis=0), np.sort(X, axis=0))
         np.testing.assert_allclose(dense @ L.rotate(X), L.rotate(dense @ X), rtol=0,
@@ -220,7 +228,7 @@ class TestMatvec:
             np.testing.assert_array_equal(half.indices, want.indices[start:stop])
             assert half.indices.dtype == half.indptr.dtype == np.int32
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 12),
            p_obs=st.sampled_from((0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_adjacencies_bit_identical_to_coo_build(self, seed, n, m, p_obs, form):
@@ -259,7 +267,7 @@ class TestMatvec:
         want = coo_reference_product(n, m, ii, jj, y, h, z[:, :, None])
         assert np.array_equal(L.matvec(z), want[:, :, 0])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            p_obs=st.sampled_from((0.0, 0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_one_column_at_m2_bit_identical_to_per_shift_product(self, seed, n, p_obs, form):
@@ -277,7 +285,7 @@ class TestMatvec:
         assert np.array_equal(L.matvec(z), want[:, :, 0])
         assert np.array_equal(L.matmat(z.reshape(2 * n, 1)), want.reshape(2 * n, 1))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20), m=st.sampled_from((2, 3, 5)),
            p_obs=st.sampled_from((0.0, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_permuted_edge_list_gives_the_same_products(self, seed, n, m, p_obs, form):

@@ -663,11 +663,15 @@ class TestChunkedSampler:
 
     @pytest.mark.parametrize("chunk", [None, 3], ids=["default", "three"])
     @settings(max_examples=examples(60), deadline=None)
-    @given(seed=st.integers(0, 2**32 - 2), n=st.integers(2, 400), m=st.integers(2, 9),
+    @given(seed=st.integers(0, 2**32 - 2), m=st.integers(2, 9),
            p_obs=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_min=True),
-                           st.sampled_from([1e-3, 0.5, 1.0 - 1e-9, 1.0])))
-    def test_equals_one_shot_sampler(self, chunk, seed, n, m, p_obs):
-        # a chunk of three pairs splits every block and the noise draw many times
+                           st.sampled_from([1e-3, 0.5, 1.0 - 1e-9, 1.0])),
+           data=st.data())
+    def test_equals_one_shot_sampler(self, chunk, seed, m, p_obs, data):
+        # with three pairs per chunk, every block, row run and noise draw
+        # splits many times already at n <= 60; a larger n only adds chunks,
+        # each one round of numpy calls
+        n = data.draw(st.integers(2, 60 if chunk else 400), label="n")
         x = np.random.default_rng(seed).integers(1, m + 1, n)
         d = NoiseDistribution(np.random.default_rng(seed + 1).dirichlet(np.ones(m)))
         with mock.patch.object(likelihood, "_CHUNK", chunk or likelihood._CHUNK):
