@@ -150,7 +150,7 @@ class TestOrthogonalIteration:
         assert fac.converged
         np.testing.assert_allclose(fac.S, [1.0, 0.999, 0.998], rtol=0, atol=1e-8)
 
-    @pytest.mark.parametrize("tol", [1e-1, 1e-2, _WARM_START_TOL, 1e-8])
+    @pytest.mark.parametrize("tol", sorted({1e-1, 1e-2, 1e-4, _WARM_START_TOL, 1e-8}))
     @pytest.mark.parametrize("cap", [1, 200])
     def test_reported_residual_recomputed(self, tol, cap):
         # residual is max_k ||L u_k - theta_k u_k|| / |theta_1| through the
@@ -170,7 +170,7 @@ class TestOrthogonalIteration:
             fac = orthogonal_iteration(counted, r=3, max_iters=cap, seed=1)
             assert fac.iterations == counted.cols
 
-    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-4, 1e-8])
     def test_stops_before_basis_is_full(self, tol):
         # a well-separated top pair meets the test long before the 20-vector
         # basis fills; the Ritz step takes 2 columns and the look at most 8
@@ -193,7 +193,7 @@ class TestOrthogonalIteration:
         # copies, more than the 8 vectors of the look's basis
         a = np.kron(np.eye(9), with_spectrum([5.0, 2.0, -1.0], seed=r))
         a = np.block([[a, np.zeros((27, 2))], [np.zeros((2, 27)), np.diag([4.5, 0.5])]])
-        for tol in (1e-8, _WARM_START_TOL):
+        for tol in (1e-8, 1e-4, _WARM_START_TOL):
             assert_matches_eigh(DenseOp(a), a, r, seed=r, tol=tol)
 
     @pytest.mark.parametrize("r", [6, 7])
@@ -326,9 +326,11 @@ class TestAgainstEigh:
     @pytest.mark.parametrize("n, r", [(5, 4), (6, 6)])
     def test_complete_graph_at_warm_start_tol(self, n, r):
         # the complete-graph examples above at the pipeline's tolerance,
-        # where the main solve stops before its basis fills
+        # where the main solve stops before its basis fills, and at 1e-4,
+        # where its Krylov space runs out first
         L, obs = circulant_instance(n, 5, 1.0, "loglik", 0)
-        assert_matches_eigh(L, dense_expansion(obs, L.h), r, 0, tol=_WARM_START_TOL)
+        for tol in (_WARM_START_TOL, 1e-4):
+            assert_matches_eigh(L, dense_expansion(obs, L.h), r, 0, tol=tol)
 
     # the first example needs the look to fill its basis: after 3 columns its
     # Ritz value lies below the floor, under a missed copy of 1.956 above
@@ -360,12 +362,14 @@ class TestLookTrigger:
                                   20 * np.log(n) / n, seed=3)
         L = build(obs, None, "agreement")
         solves = count_solves(monkeypatch)
-        fac = orthogonal_iteration(L, r=2, tol=_WARM_START_TOL, seed=4)
-        assert len(solves) == 1 and fac.iterations == solves[0][1] < 20
-        assert_matches_eigh(L, dense_expansion(obs, L.h), 2, seed=4, tol=_WARM_START_TOL)
+        for tol in (_WARM_START_TOL, 1e-4):
+            solves.clear()
+            fac = orthogonal_iteration(L, r=2, tol=tol, seed=4)
+            assert len(solves) == 1 and fac.iterations == solves[0][1] < 20
+            assert_matches_eigh(L, dense_expansion(obs, L.h), 2, seed=4, tol=tol)
 
     @pytest.mark.parametrize("k, m, r", [(10, 2, 3), (10, 3, 4), (20, 2, 3), (20, 5, 4)])
-    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-4, 1e-8])
     def test_isomorphic_forest(self, monkeypatch, k, m, r, tol):
         # two copies of one tree repeat every eigenvalue within its channel,
         # where neither the Krylov space nor the rotation holds the second
@@ -378,7 +382,7 @@ class TestLookTrigger:
         assert_matches_eigh(L, dense_expansion(obs, L.h), r, seed=r, tol=tol)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-4, 1e-8])
     def test_noiseless_needs_the_whole_orbit(self, monkeypatch, seed, tol):
         # noiseless blocks repeat every eigenvalue once in each of the m
         # channels, and one Krylov vector holds all m copies: its images
@@ -393,11 +397,11 @@ class TestLookTrigger:
         fac = assert_matches_eigh(L, dense_expansion(obs, L.h), 3, seed=seed, tol=tol)
         np.testing.assert_allclose(fac.S, fac.S[0], rtol=10 * tol)
 
-    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-8])
+    @pytest.mark.parametrize("tol", [_WARM_START_TOL, 1e-4, 1e-8])
     def test_complete_graph_still_looks(self, monkeypatch, tol):
-        # at 1e-8 the main solve stops before its Krylov space runs out, and
-        # channel 0 holds h_0 (n - 1) and one copy of -h_0 among the top 4;
-        # at the warm-start tol the space runs out first
+        # at 1e-8 and at the warm-start tol the main solve stops before its
+        # Krylov space runs out, and channel 0 holds h_0 (n - 1) and one copy
+        # of -h_0 among the top 4; at 1e-4 the space runs out first
         L, obs = circulant_instance(5, 5, 1.0, "loglik", 0)
         solves = count_solves(monkeypatch)
         orthogonal_iteration(L, r=4, tol=tol, seed=0)
