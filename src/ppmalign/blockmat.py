@@ -16,9 +16,8 @@ ones, as long as the fullest half: about 8 B per pair in all at m = 2 and
 int32.  A product takes one block vector, (n, m), and costs O(E m) for
 the residue-sorted sparse gathers plus O(n m^2) for the circulant; no
 m x m block is stored per pair.  Its gathers take the m rolled columns
-through one multi-vector sparse product per shift and half, except at
-m = 2, where scipy's 1-D kernel runs once per shift and label,
-bit-identically and faster.  matmat takes its columns one at a time.
+through one multi-vector sparse product per shift and half.  matmat takes
+its columns one at a time.
 
 The build is one CSC-to-CSR conversion of the observations' stored
 pattern: their keys y n + i, in (j, i) order, are its row indices as
@@ -119,24 +118,12 @@ class CirculantBlockMatrix:
         """Product with one block vector z of shape (n, m)."""
         n, m = z.shape
         acc = np.zeros((2, n, m))
-        if m == 2:
-            # on one half, scipy's 1-D kernel takes about a third of the time
-            # of its multi-vector kernel at two vectors (0.48 against 1.35 ms
-            # on a sparse-1e4 half), so one call per (shift, label) costs
-            # less, and it adds the same terms in the same order, so the sums
-            # are bit-identical.  At larger m the m^2 calls cost more than
-            # they save
-            for s in range(m):
-                for a in range(m):
-                    acc[0, :, a] += self._halves[s] @ z[:, (a - s) % m]
-                    acc[1, :, a] += self._transposes[-s % m] @ z[:, (a - s) % m]
-        else:
-            # mirrored gathers in shift order too: taking half s with roll -s
-            # adds the same terms in another order, which rounds differently
-            for s in range(m):
-                zs = np.roll(z, s, axis=1)
-                acc[0] += self._halves[s] @ zs
-                acc[1] += self._transposes[-s % m] @ zs
+        # mirrored gathers in shift order too: taking half s with roll -s
+        # adds the same terms in another order, which rounds differently
+        for s in range(m):
+            zs = np.roll(z, s, axis=1)
+            acc[0] += self._halves[s] @ zs
+            acc[1] += self._transposes[-s % m] @ zs
         return acc[0] @ self._g.T + acc[1] @ self._g
 
     def matvec(self, z):

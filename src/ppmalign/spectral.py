@@ -277,7 +277,10 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
     # their error over its length, sin of the rotation angle.  Stopping at
     # half of tol, which Lanczos does right at the test once it tests within
     # a fill, left residuals up to 1.2 tol on small random circulant
-    # instances (m = 3, 5); a quarter left at most 0.78 tol over 6000 of them
+    # instances (m = 3, 5); a quarter left at most 0.78 tol over 6000 of them,
+    # but it is no bound: a 6-item path beside 3 isolated items at m = 5,
+    # whose values +-1.80194 repeat in every channel, ends at 3.06 tol after
+    # 28 columns and reports converged=False (CHANGES.md, FOUND)
     _, x, lx, converged, early = _lanczos(apply, r, max(2 * r + 1, 20), tol / 4, max_iters,
                                           rng.standard_normal(n), rng)
     u, theta, lu = ritz(x, lx)
@@ -298,14 +301,15 @@ def orthogonal_iteration(op, r: int, max_iters: int = 200, tol: float = 1e-8,
     # value -h_0 repeats n - 1 times beside h_0 (n - 1), and a forest's,
     # whose values come in pairs +t, -t.  The look fills its 8 vectors: a
     # Ritz value at the loose tolerance of a partial basis can sit below the
-    # floor while a missed copy lies above.  A copy it finds is multiplied
-    # once for the Ritz step
+    # floor while a missed copy lies above; it errs by up to its residual, so
+    # the second stage runs where the value plus that residual clears the
+    # floor.  A copy it finds is multiplied once for the Ritz step
     look = converged and not (rotates and early and _channel_load(op, u).max() < 1.5)
     for _ in range(r if look else 0):
         floor = abs(theta[-1]) + tol * abs(theta[0])
-        top, w, *_ = _lanczos(outside, 1, 8, 0.1, max_iters, rng.standard_normal(n), rng, floor,
-                              early=False)
-        if abs(top[0]) > floor:
+        top, w, lw, *_ = _lanczos(outside, 1, 8, 0.1, max_iters, rng.standard_normal(n), rng,
+                                  floor, early=False)
+        if abs(top[0]) + np.linalg.norm(lw - top * w) > floor:
             top, w, *_ = _lanczos(outside, 1, 20, tol, max_iters, w[:, 0], rng, floor)
         if abs(top[0]) <= floor:
             break

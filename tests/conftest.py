@@ -81,9 +81,8 @@ def per_shift_product(L, zb) -> np.ndarray:
     """Product of a circulant-block operator with blocks zb of shape (n, m, r)
     by one multi-vector gather per shift and half, all r columns at once.
 
-    At r = 1 it is the reference for the operator's product at every m: its
-    branch for m > 2 takes these very steps, and its 1-D kernel at m = 2
-    must reproduce them bit for bit.
+    At r = 1 it is the reference for the operator's product at every m,
+    which takes these very steps and must reproduce them bit for bit.
     """
     n, m, r = zb.shape
     zt = np.ascontiguousarray(zb.transpose(0, 2, 1))

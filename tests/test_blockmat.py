@@ -271,9 +271,10 @@ class TestMatvec:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            p_obs=st.sampled_from((0.0, 0.05, 0.3, 1.0)), form=st.sampled_from(FORMS))
     def test_one_column_at_m2_bit_identical_to_per_shift_product(self, seed, n, p_obs, form):
-        # at m = 2 one column takes scipy's 1-D kernel once per shift and
-        # label; the sums must equal the 2-vector kernel's bit for bit.
-        # p_obs = 0 is the empty graph, 0.05 leaves isolated items
+        # m = 2 takes the common path, one 2-vector gather per shift and
+        # half; this pins it against the reference at the edges: n = 1, the
+        # empty graph (p_obs = 0), isolated items (0.05), and matmat's
+        # single column, bit for bit
         rng = np.random.default_rng(seed)
         lo, hi = np.triu_indices(n, 1)
         keep = rng.random(lo.size) < p_obs

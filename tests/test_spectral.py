@@ -312,10 +312,13 @@ class TestAgainstEigh:
     # pairs, so a rank cut often splits a pair; at m = 2 both channels are
     # real.  On a complete graph the frequency-0 part is h_0 (J - I), whose
     # eigenvalue -h_0 is repeated n - 1 times; with loglik blocks and small n
-    # it lies in the top r (examples).
+    # it lies in the top r (the first two examples).  In the third, 7.6099
+    # repeats in channel 0, and the look's first stage ends at a Ritz value
+    # of 6.68, under the floor of 6.7258 but within its residual of it
     @settings(max_examples=examples(100), deadline=None)
     @example(n=5, m=5, p_obs=1.0, form="loglik", r=4, seed=0)
     @example(n=6, m=5, p_obs=1.0, form="loglik", r=6, seed=0)
+    @example(n=12, m=3, p_obs=0.859375, form="loglik", r=4, seed=48411692)
     @given(n=st.integers(2, 12), m=st.sampled_from([2, 3, 5]),
            p_obs=st.floats(0.2, 1.0), form=st.sampled_from(["agreement", "loglik"]),
            r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
