@@ -219,14 +219,17 @@ def _index_dtype(n: int, m: int):
 def _edge_list(n: int, m: int, *columns):
     """Validate aligned edge columns i, j, y... and return them in the index dtype.
 
-    Every column is a 1-d integer array (lists are accepted) of one length;
-    input already in ``_index_dtype(n, m)`` is not copied.  The first two
-    columns are the endpoints of unordered pairs, each stored once with
-    i > j and both ends in 0..n-1; any further columns are residues in
-    0..m-1.  The last value returned is the permutation that sorts the
-    pairs by (j, i), or None when they come sorted, as both samplers emit
-    them; the repeat test is then linear and only other inputs are sorted.
+    Needs n >= 1 items and m >= 1 labels.  Every column is a 1-d integer
+    array (lists are accepted) of one length; input already in
+    ``_index_dtype(n, m)`` is not copied.  The first two columns are the
+    endpoints of unordered pairs, each stored once with i > j and both ends
+    in 0..n-1; any further columns are residues in 0..m-1.  The last value
+    returned is the permutation that sorts the pairs by (j, i), or None
+    when they come sorted, as both samplers emit them; the repeat test is
+    then linear and only other inputs are sorted.
     """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 items and m >= 1 features")
     columns = [np.asarray(c) for c in columns]
     if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
         raise ValueError("edge arrays must be aligned 1-d arrays")

@@ -8,11 +8,10 @@ stacked (nm, m) matrices; the estimate is defined up to one global
 relabeling of features, mirroring the global cyclic shift of the alignment
 problem.
 
-All n blocks of an iterate are projected in one call: one assignment solve
-per block, then the dual prices and the certificate that the solve is the
-unique optimum for the whole stack at once, as (n, m, m) array operations.
-Only the blocks the certificate cannot settle go to the per-block
-tie-break.
+Each block of an iterate is projected by one exact assignment solve, and
+the solver's maximizer is taken as it comes: under ties any maximizer is a
+valid projection.  ``lap_project`` breaks ties canonically, for callers
+that need one answer per score.
 
 Permutations are represented as 0-based index arrays p of length m, with
 matrix form P[a, p[a]] = 1.
@@ -48,119 +47,27 @@ def lap_project(score) -> np.ndarray:
     """Permutation maximizing sum_a score[a, p[a]], exactly.
 
     Among all maximizers, returns the lexicographically smallest index
-    array, fixing rows in order and preferring smaller columns whenever an
-    optimal completion still exists.  This is the one-block case of
-    ``_assign``: one assignment solve, certified unique by dual prices
-    when it can be, and otherwise a tie-break by sub-assignments.
+    array: one assignment solve gives the optimum's value, then rows are
+    fixed in order, each taking the smallest column that still has an
+    optimal completion, at O(m^2) sub-assignment solves in all.
+    ``match_solve`` takes the solver's own maximizer instead; this
+    canonical one is for callers that need a unique answer under ties.
     """
     score = np.asarray(score, dtype=float)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
         raise ValueError("score must be square")
-    return _assign(score[None])[0]
-
-
-def _assign(blocks) -> np.ndarray:
-    """The best permutation of every (m, m) score block, stacked (n, m).
-
-    Each block gets the answer ``lap_project`` documents.  One assignment
-    solve per block settles the common case: when dual prices show every
-    other permutation worse by more than the tie tolerance, that solve is
-    the answer.  The prices and that certificate are computed for all
-    blocks at once.  Each remaining block has its rows fixed greedily, with
-    one sub-assignment per candidate column its prices cannot rule out, up
-    to the column the last admitted completion already uses.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    n, m = blocks.shape[:2]
-    if not np.all(np.isfinite(blocks)):
+    if not np.all(np.isfinite(score)):
         raise ValueError("score must be finite")
-    out = np.empty((n, m), dtype=np.int64)
-    for k in range(n):
-        out[k] = linear_sum_assignment(blocks[k], maximize=True)[1]
-    own = np.take_along_axis(blocks, out[:, :, None], axis=2)[:, :, 0]
-    best = own.sum(axis=1)
-    tol = _LAP_TOL * np.maximum(1.0, np.abs(best))
-    # bound on the rounding in the sums below and in the tie-break's own
-    slack = 8.0 * m * m * np.finfo(float).eps * np.abs(blocks).max(axis=(1, 2), initial=0.0)
-    u, v, priced = _dual_prices(blocks, out, own, slack)
-    sole = priced & ((m + 2) * slack < tol)
-    sole[sole] = _sole_near_optimum(blocks[sole], out[sole], u[sole], v[sole],
-                                    2.0 * tol[sole] + slack[sole])
-    for k in np.flatnonzero(~sole):
-        out[k] = _lex_first_assignment(blocks[k], best[k], tol[k],
-                                       (u[k], v[k]) if priced[k] else None,
-                                       margin=4.0 * m * slack[k])
-    return out
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    best = float(score[rows, cols].sum())
+    return _lex_first_assignment(score, best, _LAP_TOL * max(1.0, abs(best)))
 
 
-def _dual_prices(blocks, sigma, own, slack):
-    """Prices (u, v) per block with u[r] + v[c] >= score[r, c] - slack,
-    tight on sigma, and whether each block has them.
-
-    Any other permutation moves the rows of sigma along disjoint cycles
-    over columns; moving row(c) from column c to c' loses
-    W[c, c'] = score[row(c), c] - score[row(c), c'], with own[r] =
-    score[r, sigma[r]].  Bellman-Ford potentials d of that graph give
-    v = -d and u = own + d[sigma].  A block has no prices when its
-    potentials still change after m sweeps or its prices are infeasible
-    beyond slack, which both mean sigma is optimal only up to rounding.
-    """
-    n, m = sigma.shape
-    w = np.empty_like(blocks)
-    w[np.arange(n)[:, None], sigma] = own[:, :, None] - blocks
-    d = np.zeros((n, m))
-    live, cur = np.arange(n), d  # blocks whose potentials still change
-    for _ in range(m):
-        nxt = np.minimum(cur, (cur[:, :, None] + w).min(axis=1))
-        moved = (nxt != cur).any(axis=1)
-        live, cur, w = live[moved], nxt[moved], w[moved]
-        d[live] = cur
-        if live.size == 0:
-            break
-    u = own + np.take_along_axis(d, sigma, axis=1)
-    v = -d
-    reduced = u[:, :, None] + v[:, None, :] - blocks
-    priced = ~(reduced.min(axis=(1, 2), initial=np.inf) < -slack)
-    priced[live] = False
-    return u, v, priced
-
-
-def _sole_near_optimum(blocks, sigma, u, v, thr) -> np.ndarray:
-    """Whether, in each block, every permutation other than sigma loses
-    more than thr.
-
-    A cycle's loss is the sum of the reduced costs u[r] + v[c] - score[r, c]
-    along it, all of them nonnegative up to rounding.  If the reduced costs
-    at most thr form an acyclic graph over columns, every cycle crosses a
-    costlier edge.
-    """
-    n, m = sigma.shape
-    near = np.empty(blocks.shape, dtype=bool)  # edge sigma[r] -> c
-    near[np.arange(n)[:, None], sigma] = (u[:, :, None] + v[:, None, :] - blocks
-                                          <= thr[:, None, None])
-    near[:, np.arange(m), np.arange(m)] = False
-    # Kahn peeling: acyclic iff repeatedly dropping the columns no
-    # remaining edge enters empties the graph
-    acyclic = np.ones(n, dtype=bool)
-    live, alive = np.arange(n), np.ones((n, m), dtype=bool)  # graphs not yet emptied
-    while live.size:
-        sources = alive & ~(near & alive[:, :, None]).any(axis=1)
-        stuck = ~sources.any(axis=1)
-        acyclic[live[stuck]] = False
-        alive &= ~sources
-        keep = alive.any(axis=1) & ~stuck
-        live, alive, near = live[keep], alive[keep], near[keep]
-    return acyclic
-
-
-def _lex_first_assignment(score, best: float, tol: float, duals=None,
-                          margin: float = 0.0) -> np.ndarray:
+def _lex_first_assignment(score, best: float, tol: float) -> np.ndarray:
     """Lexicographically smallest permutation within tol of best.
 
     Fixes rows in order, taking the smallest free column that still has a
-    completion reaching best - tol.  With dual prices (u, v), a candidate
-    whose completions are all bounded by the prices (weak duality) to fall
-    short by more than margin is skipped without solving it.
+    completion reaching best - tol.
 
     The completion that admitted a row's column is kept as a witness: its
     column for the next row is admitted without a new solve.  Re-checking
@@ -168,21 +75,14 @@ def _lex_first_assignment(score, best: float, tol: float, duals=None,
     rounding of best - tol could then fail at the next row.
     """
     m = score.shape[0]
-    if duals is not None:
-        u, v = duals
-        u_after = np.append(np.cumsum(u[::-1])[::-1][1:], 0.0)  # sum of u[a+1:]
     free = np.ones(m, dtype=bool)
     out = np.empty(m, dtype=np.int64)
     witness = None  # witness[a:] completes the rows fixed so far
     acc = 0.0
     for a in range(m):
-        if duals is not None:
-            cap = best - tol - margin - acc - u_after[a] - v[free].sum()
         for c in np.flatnonzero(free):
             if witness is not None and c == witness[a]:
                 break
-            if duals is not None and score[a, c] - v[c] < cap:
-                continue
             if a + 1 < m:
                 rest = free.copy()
                 rest[c] = False
@@ -220,8 +120,6 @@ class MatchObservations:
     blocks: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("need n >= 1 items and m >= 1 features")
         ii, jj, _ = _edge_list(self.n, self.m, self.ii, self.jj)
         try:
             blocks = np.asarray(self.blocks, dtype=float)
@@ -349,7 +247,8 @@ def _consistent_cols(truth, ii, jj) -> np.ndarray:
 def mismatch_rate(perms, truth) -> float:
     """Fraction of wrongly assigned (item, feature) pairs modulo one global
     relabeling of features, chosen by a final assignment on match counts;
-    0 when there is no pair to assign."""
+    0 when there is no pair to assign.  Raises ValueError on a feature
+    outside 0..m-1."""
     perms = np.asarray(perms, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if perms.shape != truth.shape or perms.ndim != 2:
@@ -357,9 +256,11 @@ def mismatch_rate(perms, truth) -> float:
     n, m = perms.shape
     if n * m == 0:
         return 0.0
+    if min(perms.min(), truth.min()) < 0 or max(perms.max(), truth.max()) >= m:
+        raise ValueError(f"perms and truth must hold features in 0..{m - 1}")
     counts = np.bincount(truth.ravel() * m + perms.ravel(), minlength=m * m).reshape(m, m)
-    g = lap_project(counts)
-    matched = counts[np.arange(m), g].sum()
+    rows, g = linear_sum_assignment(counts, maximize=True)
+    matched = counts[rows, g].sum()
     return 1.0 - float(matched) / (n * m)
 
 
@@ -398,6 +299,11 @@ class MatchReport:
                          ((i, a, self.perms[i, a]) for i in range(n) for a in range(m)))
 
 
+def _maximizers(blocks) -> np.ndarray:
+    """The solver's maximizing permutation of every (m, m) block, stacked (n, m)."""
+    return np.stack([linear_sum_assignment(b, maximize=True)[1] for b in blocks])
+
+
 def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchReport:
     """Power iterations with per-block assignment rounding.
 
@@ -406,9 +312,11 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
 
         Z_i <- assignment maximizing <(L Z)_i, P>  over permutations P
 
-    until the assignments stop changing or the budget runs out.  The loop
-    is the one ``solve`` runs: once the assignments alternate between two
-    states, products stop while the report still covers all T iterations.
+    until the assignments stop changing or the budget runs out.  Each block
+    is rounded by one assignment solve, taking the solver's maximizer as it
+    comes, with no tie-break.  The loop is the one ``solve`` runs: once the
+    assignments alternate between two states, products stop while the
+    report still covers all T iterations.
     """
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
@@ -417,13 +325,13 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
     rng = np.random.default_rng(seed)
     fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
-    perms = _assign(fac.columns(slice(c * m, (c + 1) * m)).reshape(n, m, m))
+    perms = _maximizers(fac.columns(slice(c * m, (c + 1) * m)).reshape(n, m, m))
     rows, feats = np.arange(n)[:, None], np.arange(m)[None, :]
 
     def step(cur):
         z = np.zeros((n, m, m))
         z[rows, feats, cur] = 1.0
-        return _assign(op.matmat(z.reshape(n * m, m)).reshape(n, m, m))
+        return _maximizers(op.matmat(z.reshape(n * m, m)).reshape(n, m, m))
 
     truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
     score = None if truth_arr is None else (lambda p: mismatch_rate(p, truth_arr))

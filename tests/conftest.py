@@ -290,81 +290,17 @@ def full_budget_solve(L, z0, policy, T, truth=None, sigmas=None, early_stop=True
     )
 
 
-def per_block_lap_project(score) -> np.ndarray:
-    """``matching.lap_project`` as it was before the certificate was batched:
-    one assignment solve, its dual prices and the acyclicity test for one
-    block, then the package's tie-break if the certificate cannot settle it.
-
-    Reference for ``matching._assign``, which must return the same
-    permutation for every block of a stack.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    from ppmalign.matching import _LAP_TOL, _lex_first_assignment
-
-    score = np.asarray(score, dtype=float)
-    if score.ndim != 2 or score.shape[0] != score.shape[1]:
-        raise ValueError("score must be square")
-    if not np.all(np.isfinite(score)):
-        raise ValueError("score must be finite")
-    m = score.shape[0]
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    best = float(score[rows, cols].sum())
-    tol = _LAP_TOL * max(1.0, abs(best))
-    slack = 8.0 * m * m * np.finfo(float).eps * float(np.abs(score).max(initial=0.0))
-    duals = _per_block_dual_prices(score, cols, slack)
-    if (duals is not None and (m + 2) * slack < tol
-            and _per_block_sole_near_optimum(score, cols, duals, 2.0 * tol + slack)):
-        return cols.astype(np.int64)
-    return _lex_first_assignment(score, best, tol, duals, margin=4.0 * m * slack)
-
-
-def _per_block_dual_prices(score, sigma, slack):
-    """Bellman-Ford prices (u, v) of one block, tight on sigma; None when
-    they do not settle within m sweeps or are infeasible beyond slack."""
-    m = sigma.size
-    own = score[np.arange(m), sigma]
-    w = np.empty((m, m))
-    w[sigma] = own[:, None] - score
-    d = np.zeros(m)
-    for _ in range(m):
-        nxt = np.minimum(d, (d[:, None] + w).min(axis=0))
-        if np.array_equal(nxt, d):
-            break
-        d = nxt
-    else:
-        return None
-    u = own + d[sigma]
-    v = -d
-    if (u[:, None] + v[None, :] - score).min() < -slack:
-        return None
-    return u, v
-
-
-def _per_block_sole_near_optimum(score, sigma, duals, thr) -> bool:
-    """Whether the reduced costs at most thr form an acyclic graph over
-    columns, by Kahn peeling one block."""
-    u, v = duals
-    m = sigma.size
-    near = np.empty((m, m), dtype=bool)
-    near[sigma] = u[:, None] + v[None, :] - score <= thr
-    np.fill_diagonal(near, False)
-    alive = np.ones(m, dtype=bool)
-    while alive.any():
-        sources = alive & ~near[alive].any(axis=0)
-        if not sources.any():
-            return False
-        alive &= ~sources
-    return True
-
-
 def full_budget_match_solve(obs, T, seed, truth=None):
     """``matching.match_solve`` as it was before it stopped multiplying at
-    a 2-cycle and before it projected all blocks at once: one product per
-    step until T or a fixed point, and one ``per_block_lap_project`` call
-    per block."""
+    a 2-cycle: one product per step until T or a fixed point, and each
+    block projected by the assignment solver's own maximizer."""
+    from scipy.optimize import linear_sum_assignment
+
     from ppmalign.matching import DenseBlockMatrix, MatchReport, mismatch_rate
     from ppmalign.spectral import _WARM_START_TOL, orthogonal_iteration
+
+    def project(blocks):
+        return np.stack([linear_sum_assignment(b, maximize=True)[1] for b in blocks])
 
     if T < 0:
         raise ValueError("iteration budget must be nonnegative")
@@ -373,9 +309,10 @@ def full_budget_match_solve(obs, T, seed, truth=None):
     rng = np.random.default_rng(seed)
     fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
     c = int(rng.integers(0, n))
-    col_block = (fac.U * fac.theta) @ fac.U[c * m:(c + 1) * m, :].T  # (nm, m)
-    zb = col_block.reshape(n, m, m)
-    perms = np.stack([per_block_lap_project(zb[i]) for i in range(n)])
+    # the solver's maximizer follows rounding where a block ties, so the
+    # start reads the same (nm, m) column block as match_solve
+    zb = fac.columns(slice(c * m, (c + 1) * m)).reshape(n, m, m)
+    perms = project(zb)
     trace = None
     truth_arr = None
     if truth is not None:
@@ -387,7 +324,7 @@ def full_budget_match_solve(obs, T, seed, truth=None):
         z = np.zeros((n, m, m))
         z[np.arange(n)[:, None], np.arange(m)[None, :], perms] = 1.0
         w = op.matmat(z.reshape(n * m, m)).reshape(n, m, m)
-        new_perms = np.stack([per_block_lap_project(w[i]) for i in range(n)])
+        new_perms = project(w)
         ran += 1
         met = bool(np.array_equal(new_perms, perms))
         perms = new_perms

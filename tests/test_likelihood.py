@@ -412,6 +412,18 @@ class TestEdgeList:
         assert obs.key.dtype == obs.i.dtype == obs.j.dtype == obs.y.dtype == np.int32
         np.testing.assert_array_equal(obs.y, [0, m - 1])
 
+    @pytest.mark.parametrize("n, m", [(0, 2), (-3, 2), (3, 0)])
+    def test_no_items_or_no_labels_rejected(self, n, m):
+        # they were accepted, and the operator build then failed on a zero
+        # slice step (n = 0), a negative shape (n < 0) or an IndexError (m = 0)
+        message = "^need n >= 1 items and m >= 1 features$"
+        with pytest.raises(ValueError, match=message):
+            PairwiseObservations(n=n, m=m, i=[], j=[], y=[])
+        with pytest.raises(ValueError, match=message):
+            PairwiseObservations.from_csv("i,j,y\n", n=n, m=m)
+        with pytest.raises(ValueError, match=message):
+            _edge_list(n, m, [], [])
+
     @pytest.mark.parametrize("y", [[0, 2], [-1, 0]])
     def test_residues_out_of_range_rejected(self, y):
         with pytest.raises(ValueError, match="residues out of range"):

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
 
 import ppmalign.matching as matching
 from conftest import (
     dense_match_expansion,
+    examples,
     full_budget_match_solve,
     match_block,
-    per_block_lap_project,
     per_edge_sample_match_observations,
     perm_matrix,
 )
@@ -61,57 +60,30 @@ def brute_force_lap_within_tol(score):
     return np.array(perms[int(np.flatnonzero(vals >= cut)[0])])
 
 
-def scores_of_kind(rng, kind, m, eps=0.0):
-    """One (m, m) score of a kind:
-
-    - "ties": integers 0..2, so many permutations tie exactly;
-    - "near-ties": those integers nudged by multiples of eps;
-    - "large": integers between 1e6 and 1e7;
-    - "cancel": zero-mean entries of 0 or +-1e7 plus tenths, which cancel
-      in the sums;
-    - "unsettled": 0 or 1e7 plus 1e-9 noise, below the rounding at 1e7,
-      so the prices of many blocks still change after m sweeps;
-    - "continuous": standard normal, which the certificate mostly settles.
-    """
-    if kind == "ties":
-        return rng.integers(0, 3, (m, m)).astype(float)
-    if kind == "near-ties":
-        return rng.integers(0, 3, (m, m)) + eps * rng.integers(-2, 3, (m, m))
-    if kind == "large":
-        return rng.uniform(1e6, 1e7, (m, m)).round() + rng.integers(0, 2, (m, m))
-    if kind == "cancel":
-        return 1e7 * rng.integers(-1, 2, (m, m)) + 0.1 * rng.integers(0, 3, (m, m))
-    if kind == "unsettled":
-        return 1e7 * rng.integers(0, 2, (m, m)) + 1e-9 * rng.standard_normal((m, m))
-    return rng.standard_normal((m, m))
-
-
-KINDS = ("ties", "near-ties", "large", "cancel", "unsettled", "continuous")
 _NEAR_TIE_EPS = st.sampled_from((0.1, 0.5, 1.0, 2.0, 3.0))
 
 
 @st.composite
 def score_matrices(draw, max_m):
-    """Square scores that stress the tie-break: integer ties, near-ties at
-    the tolerance scale, large magnitudes and plain continuous draws."""
+    """Square scores that stress assignment under ties, of one of four kinds:
+
+    - "ties": integers 0..2, so many permutations tie exactly;
+    - "near-ties": those integers nudged by multiples of eps, at the
+      tolerance scale;
+    - "large": integers between 1e6 and 1e7;
+    - "continuous": standard normal.
+    """
     m = draw(st.integers(1, max_m), label="m")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     kind = draw(st.sampled_from(("ties", "near-ties", "large", "continuous")), label="kind")
-    eps = draw(_NEAR_TIE_EPS, label="eps") * _LAP_TOL if kind == "near-ties" else 0.0
-    return scores_of_kind(rng, kind, m, eps)
-
-
-@st.composite
-def score_stacks(draw):
-    """(k, m, m) stacks of one to eight blocks, each of its own kind; m = 1,
-    m = 20 and single blocks come up often."""
-    m = draw(st.one_of(st.sampled_from((1, 20)), st.integers(1, 20)), label="m")
-    kinds = draw(st.one_of(
-        st.lists(st.sampled_from(KINDS), min_size=1, max_size=1),
-        st.lists(st.sampled_from(KINDS), min_size=2, max_size=8)), label="kinds")
-    eps = draw(_NEAR_TIE_EPS, label="eps") * _LAP_TOL
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    return np.stack([scores_of_kind(rng, kind, m, eps) for kind in kinds])
+    if kind == "ties":
+        return rng.integers(0, 3, (m, m)).astype(float)
+    if kind == "near-ties":
+        eps = draw(_NEAR_TIE_EPS, label="eps") * _LAP_TOL
+        return rng.integers(0, 3, (m, m)) + eps * rng.integers(-2, 3, (m, m))
+    if kind == "large":
+        return rng.uniform(1e6, 1e7, (m, m)).round() + rng.integers(0, 2, (m, m))
+    return rng.standard_normal((m, m))
 
 
 def near_tie(seed):
@@ -119,13 +91,6 @@ def near_tie(seed):
     exactly at the tie cut best - tol, where rounding decides the side."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 3, (6, 6)) + 3e-9 * rng.integers(-2, 3, (6, 6))
-
-
-def greedy_reference(score):
-    """The tie-break alone: no single-solve certificate, no pruning."""
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    best = float(score[rows, cols].sum())
-    return matching._lex_first_assignment(score, best, _LAP_TOL * max(1.0, abs(best)))
 
 
 class TestLapProject:
@@ -171,30 +136,7 @@ class TestLapProject:
         got = lap_project(np.empty((0, 0)))
         assert got.dtype == np.int64 and got.shape == (0,)
 
-    @settings(deadline=None)
-    @given(blocks=score_stacks())
-    @example(blocks=np.stack([near_tie(s) for s in (328, 454, 1122, 1769)]))
-    def test_batched_stack_matches_per_block_oracle(self, blocks):
-        got = matching._assign(blocks)
-        want = np.stack([per_block_lap_project(b) for b in blocks])
-        assert got.dtype == want.dtype == np.int64
-        assert got.tobytes() == want.tobytes()
-
-    def test_stack_kinds_reach_every_branch(self, monkeypatch):
-        # the kinds of ``score_stacks`` give blocks the certificate settles,
-        # blocks whose prices never settle and priced blocks it leaves to
-        # the tie-break
-        tie_breaks = []
-        lex = matching._lex_first_assignment
-        monkeypatch.setattr(matching, "_lex_first_assignment", lambda *args, **kw: (
-            tie_breaks.append(args[3] is not None), lex(*args, **kw))[1])
-        rng = np.random.default_rng(0)
-        for kind, want in (("continuous", set()), ("unsettled", {False}), ("ties", {True})):
-            tie_breaks.clear()
-            matching._assign(np.stack([scores_of_kind(rng, kind, 12) for _ in range(10)]))
-            assert want <= set(tie_breaks) if want else not tie_breaks, kind
-
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(score=score_matrices(max_m=6))
     @example(score=near_tie(328))
     @example(score=near_tie(454))
@@ -202,44 +144,6 @@ class TestLapProject:
     @example(score=near_tie(1769))
     def test_matches_brute_force_property(self, score):
         np.testing.assert_array_equal(lap_project(score), brute_force_lap_within_tol(score))
-
-    @settings(max_examples=150, deadline=None)
-    @given(score=score_matrices(max_m=20))
-    @example(score=near_tie(328))
-    @example(score=near_tie(454))
-    @example(score=near_tie(1122))
-    @example(score=near_tie(1769))
-    def test_single_solve_agrees_with_tie_break(self, score):
-        got = lap_project(score)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, greedy_reference(score))
-
-    def test_both_paths_exercised(self, monkeypatch):
-        # one assignment solve for a unique optimum, sub-solves for ties
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linear_sum_assignment(*args, **kwargs)
-
-        monkeypatch.setattr(matching, "linear_sum_assignment", counting)
-        rng = np.random.default_rng(3)
-        lap_project(rng.standard_normal((12, 12)))
-        assert len(calls) == 1
-        calls.clear()
-        np.testing.assert_array_equal(lap_project(np.ones((5, 5))), np.arange(5))
-        assert len(calls) > 1
-
-        # a tie between the last two rows; the prices rule out every
-        # column the plain tie-break solves a sub-assignment for
-        score = 10.0 * np.eye(8)[::-1]
-        score[6:, 0:2] = 10.0
-        calls.clear()
-        got = lap_project(score)
-        priced = len(calls)
-        calls.clear()
-        np.testing.assert_array_equal(got, greedy_reference(score))
-        assert 1 < priced < len(calls)
 
     def test_perm_matrix(self):
         np.testing.assert_array_equal(
@@ -274,6 +178,16 @@ class TestMismatchRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             mismatch_rate(np.zeros((3, 2), dtype=int), np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("perms, truth", [
+        ([[0, -1]], [[0, 1]]),
+        ([[0, 5]], [[0, 1]]),
+        ([[0, 1]], [[2, 1]]),
+        ([[0, 1]], [[0, -2]]),
+    ])
+    def test_rejects_features_out_of_range(self, perms, truth):
+        with pytest.raises(ValueError, match=re.escape("0..1")):
+            mismatch_rate(perms, truth)
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 4)])
     def test_nothing_to_assign_is_no_mismatch(self, shape):
@@ -425,8 +339,14 @@ class TestObservations:
         with pytest.raises(ValueError, match=re.escape("blocks must be (n_edges, m, m)")):
             MatchObservations(n=3, m=2, ii=np.array([2, 2]), jj=np.array([0, 1]),
                               blocks=np.ones((2, 3, 2)))
+
+    @pytest.mark.parametrize("n, m", [(0, 2), (-3, 2), (3, 0)])
+    def test_rejects_no_items_or_no_features(self, n, m):
         with pytest.raises(ValueError, match="need n >= 1 items and m >= 1 features"):
-            MatchObservations(0, 2, [], [], np.zeros((0, 2, 2)))
+            MatchObservations(n, m, [], [], np.zeros((0, m, m)))
+        text = sample_match_observations(2, 1, 0.0, seed=0)[0].to_csv()
+        with pytest.raises(ValueError, match="need n >= 1 items and m >= 1 features"):
+            MatchObservations.from_csv(text, n, m)
 
 
 class TestDenseBlockMatrix:
@@ -502,27 +422,23 @@ class TestMatchSolve:
         match_solve(obs, T=5, seed=2)
         assert tols == [_WARM_START_TOL]
 
-    def test_single_solve_path_leaves_runs_unchanged(self, monkeypatch):
-        # criterion-7 instances, with and without the dual prices that
-        # certify a single solve and prune the tie-break
-        runs = []
-        prices = matching._dual_prices
-        for priced in (True, False):
-            if not priced:
-                # every block goes to the tie-break, without prices
-                monkeypatch.setattr(matching, "_dual_prices", lambda *args: (
-                    *prices(*args)[:2], np.zeros(len(args[0]), dtype=bool)))
-            reps = []
-            for seed in range(4):
-                obs, truth = sample_match_observations(50, 10, 0.3, seed=seed)
-                reps.append(match_solve(obs, T=50, seed=seed, truth=truth))
-            runs.append(reps)
-        for fast, slow in zip(*runs):
-            np.testing.assert_array_equal(fast.perms, slow.perms)
-            assert fast.iterations_run == slow.iterations_run
-            assert fast.mismatch_trace.tobytes() == slow.mismatch_trace.tobytes()
+    @settings(max_examples=examples(300), deadline=None)
+    @given(score=score_matrices(max_m=6))
+    @example(score=near_tie(328))
+    @example(score=near_tie(454))
+    @example(score=near_tie(1122))
+    @example(score=near_tie(1769))
+    def test_block_projection_attains_brute_force_maximum(self, score):
+        # any maximizer will do under ties; the total must be the optimum's
+        got = matching._maximizers(score[None])[0]
+        m = score.shape[0]
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(got), np.arange(m))
+        _, best = brute_force_lap(score)
+        band = 1e-12 * m * max(1.0, float(np.abs(score).max()))
+        assert abs(sum(score[a, got[a]] for a in range(m)) - best) <= band
 
-    # seed 8 at n=10, m=4, corrupt=0.6 enters a 2-cycle at step 5, so T = 8
+    # seed 8 at n=10, m=4, corrupt=0.6 enters a 2-cycle at step 3, so T = 8
     # and T = 9 leave an odd and an even number of steps to pad
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), m=st.integers(1, 5),
@@ -548,16 +464,18 @@ class TestMatchSolve:
             assert got.mismatch_trace is None and want.mismatch_trace is None
 
     def test_two_cycle_stops_products_at_the_repeat(self, monkeypatch):
-        # without truth, each step projects n blocks and nothing else
+        # without truth, each step solves one assignment per block and
+        # nothing else
         calls = []
-        assign = matching._assign
-        monkeypatch.setattr(matching, "_assign", lambda b: (calls.append(len(b)), assign(b))[1])
+        solve = matching.linear_sum_assignment
+        monkeypatch.setattr(matching, "linear_sum_assignment",
+                            lambda *a, **kw: (calls.append(1), solve(*a, **kw))[1])
         obs, _ = sample_match_observations(10, 4, 0.6, seed=8)
         finals = set()
         for T in (8, 9):
             calls.clear()
             rep = match_solve(obs, T=T, seed=8)
-            assert sum(calls) == 10 * (1 + 5)
+            assert len(calls) == 10 * (1 + 3)
             assert rep.iterations_run == T and not rep.converged
             finals.add(rep.perms.tobytes())
         assert len(finals) == 2
