@@ -19,6 +19,14 @@ runs of j a chunk spans.  Chunking keeps every output byte for byte, as
 each draw reads the stream in order, and the chunks read it in the order
 whole-array draws would: every geometric block is drawn to its full
 size, surplus past the last pair included, before any noise.
+
+The draws are numpy's, value for value, at less cost per draw.  Below
+p_obs = 1/3 a geometric gap is ceil(E / -log1p(-p_obs)) of a standard
+exponential E, as ``Generator.geometric`` computes it, from one fill per
+chunk; from 1/3 up, where numpy searches instead, its own call is kept.
+A residue's noise counts the first m - 1 cdf entries at or below a
+uniform, one comparison pass per entry: O(m) per pair, which beats a
+binary search up to m = 150 and loses from m = 200 (n = 1000, p_obs = 1).
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 _INT64 = np.iinfo(np.int64)
+# the largest float64 below 2^63, the largest that casts into int64
+_BELOW_2_63 = float(np.nextafter(2.0**63, 0))
 # pairs the samplers draw, unrank and give their noise at a time
 _CHUNK = 2**16
 
@@ -307,9 +317,16 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     Two passes over the pairs, each in chunks of ``_CHUNK``, keep the
     memory at about one index-dtype integer per pair: the first writes
     each pair's i into its key and counts the pairs per j, the second
-    draws eta by a search of the first m - 1 cdf entries, subtracts x_j
-    once per run of j and adds y n to the keys.  The stream is read in
-    the order whole-array draws would read it, so the chunk size does
+    draws eta, subtracts x_j once per run of j, wraps the sum into
+    0..m-1 by sign masks and adds y n to the keys.  The gaps of the first
+    pass are ``Generator.geometric``'s, from one exponential fill per
+    chunk below p_obs = 1/3 and numpy's search from 1/3 up.  eta counts
+    the first m - 1 cdf entries at or below one uniform per pair, the
+    value a search with side="right" gives, at O(m) per pair; that beats
+    the search up to m = 150 and loses from m = 200 (n = 1000, p_obs = 1),
+    where one operator product costs O(E m) anyway.  The exponentials
+    and the uniforms share one float64 chunk buffer.  The stream is read
+    in the order whole-array draws would read it, so the chunk size does
     not change the output.
 
     Parameters
@@ -335,18 +352,28 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     dtype = _index_dtype(n, m)
     x = x.astype(dtype, copy=False)
     rng = np.random.default_rng(seed)
-    key, colptr = _pair_pattern(n, p_obs, rng, dtype)
-    # eta counts the first m - 1 cdf entries at or below u, so it never passes m - 1
+    # one float64 chunk for the exponentials of the gaps and the uniforms of the noise
+    buf = np.empty(min(_CHUNK, n * (n - 1) // 2))
+    key, colptr = _pair_pattern(n, p_obs, rng, dtype, buf)
     cdf = np.cumsum(d.p0)[:-1]
+    sign = 8 * key.itemsize - 1
     for lo in range(0, key.size, _CHUNK):
         i = key[lo:lo + _CHUNK]
-        eta = np.searchsorted(cdf, rng.random(i.size), side="right")
+        u = rng.random(out=buf[:i.size])
         first, counts = _runs(colptr, np.arange(lo, lo + i.size))
         # y_ij = (x_i - x_j + eta) mod m, stored with i > j
         y = x[i]
         y -= np.repeat(x[first:first + counts.size], counts)
-        y += eta
-        y %= m
+        # eta counts the first m - 1 cdf entries at or below u, as a search
+        # with side="right" would, so it never passes m - 1
+        for c in cdf:
+            y += u >= c
+        # the sum lies in [-(m - 1), 2m - 2], at most one m from its residue:
+        # add m to the negatives, then take m off all and add it back to the
+        # negatives; y >> sign is all ones on a negative and zero elsewhere
+        y += (y >> sign) & m
+        y -= m
+        y += (y >> sign) & m
         y *= n
         i += y
     return PairwiseObservations._from_pattern(n, m, key, colptr)
@@ -358,11 +385,11 @@ def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator, dtype):
     The pairs of ``_pair_pattern``, with the pointer expanded to one a per
     pair.
     """
-    b, colptr = _pair_pattern(n, p_obs, rng, dtype)
+    b, colptr = _pair_pattern(n, p_obs, rng, dtype, np.empty(min(_CHUNK, n * (n - 1) // 2)))
     return np.repeat(np.arange(n, dtype=dtype), np.diff(colptr)), b
 
 
-def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype):
+def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype, buf: np.ndarray):
     """The pairs a < b kept at rate p_obs, as b in dtype and a pointer over a.
 
     The one pair sampler and the one check of p_obs for both problem
@@ -372,7 +399,8 @@ def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype):
     columns a.  Each chunk of ranks is unranked as it is drawn, so beside
     b only O(n + ``_CHUNK``) memory is used.  The buffer for b is sized
     to the first block of draws; in the rare sweep that outlasts it, it
-    grows by each further chunk.
+    grows by each further chunk.  ``buf`` is float64 scratch of
+    min(``_CHUNK``, n(n - 1)/2) entries for the gap draws.
     """
     if not 0 < p_obs <= 1:
         raise ValueError(f"p_obs must lie in (0, 1], got {p_obs}")
@@ -381,7 +409,7 @@ def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype):
     b = np.empty(_block_size(total, p_obs), dtype=dtype)
     colptr = np.zeros(n + 1, dtype=np.int64)
     e = 0
-    for k in _kept_ranks(total, p_obs, rng):
+    for k in _kept_ranks(total, p_obs, rng, buf):
         if e + k.size > b.size:
             b = np.concatenate((b[:e], np.empty(k.size, dtype=dtype)))
         first, counts = _pair_of_rank(k, starts, b[e:e + k.size])
@@ -399,19 +427,22 @@ def _block_size(left: int, p_obs: float) -> int:
     return min(left, int(mean + 4.0 * math.sqrt(mean)) + 16)
 
 
-def _kept_ranks(total: int, p_obs: float, rng):
+def _kept_ranks(total: int, p_obs: float, rng, buf: np.ndarray):
     """The ranks below ``total`` kept at rate p_obs, ascending, in chunks.
 
     The gaps between kept ranks are geometric(p_obs) variables (Batagelj &
-    Brandes, Phys. Rev. E 71, 2005), drawn in blocks of ``_block_size``
-    and each block in chunks of at most ``_CHUNK``.  A block is drawn to
-    its end even past the last rank: the noise draws that follow must
-    start where one draw of the whole block would leave the stream.
-    At p_obs = 1 every rank is kept, and the stream is advanced past the
-    ``total`` uniforms that a per-pair mask draws; that is one 64-bit step
-    per float64 for the PCG64 generator ``default_rng`` makes.  The
-    advance also drops a 32-bit half-word that earlier bounded draws may
-    have left pending.
+    Brandes, Phys. Rev. E 71, 2005), drawn by ``_geometric`` in blocks of
+    ``_block_size`` and each block in chunks of at most ``_CHUNK``: below
+    p_obs = 1/3 as standard exponentials filled into ``buf`` and divided
+    by the rate, from 1/3 up by ``Generator.geometric``'s search.  The
+    noise that follows costs O(m) per pair (see ``sample_observations``).
+    A block is drawn to its end even past the last rank: the noise draws
+    that follow must start where one draw of the whole block would leave
+    the stream.  At p_obs = 1 every rank is kept, and the stream is
+    advanced past the ``total`` uniforms that a per-pair mask draws; that
+    is one 64-bit step per float64 for the PCG64 generator ``default_rng``
+    makes.  The advance also drops a 32-bit half-word that earlier bounded
+    draws may have left pending.
     """
     if p_obs == 1:
         rng.bit_generator.advance(total)
@@ -422,7 +453,7 @@ def _kept_ranks(total: int, p_obs: float, rng):
     while last < total - 1:
         size = _block_size(total - 1 - last, p_obs)
         for lo in range(0, size, _CHUNK):
-            k = rng.geometric(p_obs, min(_CHUNK, size - lo))
+            k = _geometric(rng, p_obs, buf[:min(_CHUNK, size - lo)])
             if last >= total:
                 continue
             # a gap past the end ends the sweep; capping it keeps the sum in int64
@@ -433,6 +464,29 @@ def _kept_ranks(total: int, p_obs: float, rng):
             if stop:
                 yield k[:stop]
             last = int(k[-1])
+
+
+def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:
+    """``rng.geometric(p, out.size)`` bit for bit, as int64, reading the
+    same stream; ``out`` is float64 scratch.
+
+    Below p = 1/3 numpy inverts one standard exponential E per draw,
+    ceil(E / -log1p(-p)), and reads anything from 2^63 up as the int64
+    maximum; here the exponentials are one fill of ``out``, divided by
+    the rate computed once, at about half the time.  From 1/3 up numpy
+    runs a search of the cdf per draw, and its own call is kept.
+    """
+    # numpy's own split: its constant 0.333...3 in C is this float
+    if p >= 1 / 3:
+        return rng.geometric(p, out.size)
+    z = rng.standard_exponential(out=out)
+    with np.errstate(over="ignore"):  # E / rate is inf at subnormal p
+        z /= -math.log1p(-p)
+    np.ceil(z, out=z)
+    if z.max() < 2.0**63:
+        return z.astype(np.int64)
+    # only p below about 1e-17 gets here; no float from 2^63 up meets the cast
+    return np.where(z < 2.0**63, np.minimum(z, _BELOW_2_63).astype(np.int64), _INT64.max)
 
 
 def _row_starts(n: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from ppmalign.likelihood import (
     NoiseDistribution,
     PairwiseObservations,
     _edge_list,
+    _geometric,
     _observed_pairs,
     _pair_of_rank,
     _row_starts,
@@ -476,13 +477,16 @@ class TestEdgeList:
 
 
 class _FixedGaps:
-    """Stands in for a Generator whose geometric draws are all ``gap``."""
+    """Stands in for a Generator whose geometric(p) draws, p < 1/3, are all
+    ``gap``: each standard exponential E is one that ceil(E / -log1p(-p))
+    takes to ``gap``, or past 2^63 for the int64 maximum."""
 
-    def __init__(self, gap):
-        self.gap = gap
+    def __init__(self, gap, p):
+        self.exponential = (gap - 0.5) * -math.log1p(-p)
 
-    def geometric(self, p, size):
-        return np.full(size, self.gap, dtype=np.int64)
+    def standard_exponential(self, out):
+        out.fill(self.exponential)
+        return out
 
 
 def _rows_of(first, counts):
@@ -581,14 +585,35 @@ class TestPairSampler:
         # fixed gaps outlast every block, so the sweep must resume at the
         # last kept rank until it passes N
         n = 100
-        a, b = _observed_pairs(n, 0.01, _FixedGaps(gap), np.int32)
+        a, b = _observed_pairs(n, 0.01, _FixedGaps(gap, 0.01), np.int32)
         ra, rb = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(a, ra[gap - 1::gap])
         np.testing.assert_array_equal(b, rb[gap - 1::gap])
 
     def test_overlong_gap_ends_sweep(self):
-        a, b = _observed_pairs(50, 1e-300, _FixedGaps(np.iinfo(np.int64).max), np.int32)
+        # the gaps come to 2^63 as floats; none may reach the int64 cast,
+        # which would warn of an invalid value
+        rng = _FixedGaps(np.iinfo(np.int64).max, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = _observed_pairs(50, 1e-300, rng, np.int32)
         assert a.size == b.size == 0
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300),
+           p=st.one_of(
+               st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+               # numpy switches to a search at 1/3; both its neighbours, and the ends
+               st.sampled_from([1 / 3, float(np.nextafter(1 / 3, 0)),
+                                float(np.nextafter(1 / 3, 1)), 0.3, 1e-300, 5e-324,
+                                1.0 - 1e-12]),
+           ))
+    def test_gaps_equal_numpy_geometric(self, seed, size, p):
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.geometric(p, size)
+        got = _geometric(rng, p, np.empty(size))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_inclusion_frequencies_match_binomial(self):
         n, p, trials = 30, 0.15, 600
@@ -675,7 +700,7 @@ class TestChunkedSampler:
 
     @pytest.mark.parametrize("chunk", [None, 3], ids=["default", "three"])
     @settings(max_examples=examples(60), deadline=None)
-    @given(seed=st.integers(0, 2**32 - 2), m=st.integers(2, 9),
+    @given(seed=st.integers(0, 2**32 - 2), m=st.integers(2, 40),
            p_obs=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_min=True),
                            st.sampled_from([1e-3, 0.5, 1.0 - 1e-9, 1.0])),
            data=st.data())
@@ -684,10 +709,25 @@ class TestChunkedSampler:
         # splits many times already at n <= 60; a larger n only adds chunks,
         # each one round of numpy calls
         n = data.draw(st.integers(2, 60 if chunk else 400), label="n")
+        # residues without mass repeat cdf values, where the noise draw's
+        # count must equal the oracle's search with side="right"
+        empty = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="empty")
         x = np.random.default_rng(seed).integers(1, m + 1, n)
-        d = NoiseDistribution(np.random.default_rng(seed + 1).dirichlet(np.ones(m)))
+        p0 = np.random.default_rng(seed + 1).dirichlet(np.ones(m))
+        if not all(empty):
+            p0[empty] = 0.0
+            p0 /= p0.sum()
+        d = NoiseDistribution(p0)
         with mock.patch.object(likelihood, "_CHUNK", chunk or likelihood._CHUNK):
             self.check_against_one_shot(x, d, p_obs, seed)
+
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_equals_one_shot_sampler_in_sparse_regime(self, m):
+        # the paper's regime at the default chunk: about 2e6 pairs in 31 chunks
+        n = 20_000
+        x = np.random.default_rng(m).integers(1, m + 1, n)
+        d = NoiseDistribution(np.random.default_rng(m + 1).dirichlet(np.ones(m)))
+        self.check_against_one_shot(x, d, 20 * math.log(n) / n, seed=m)
 
     @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "seven"])
     def test_first_block_running_out(self, chunk):
