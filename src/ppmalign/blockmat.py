@@ -25,12 +25,15 @@ they are, and their pointer over j its column pointer.  With the
 observations alive it peaks at about 12.6 B per pair at m = 2 and int32
 (the keys, the conversion's output and, after its boolean data is
 freed, the ones).
+
+``scipy.sparse`` is imported by the first build, not with this module, so
+importing the package or its command line loads numpy alone (README,
+Dependencies, gives the import times).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import RegularizationRequiredError
 from .likelihood import NoiseDistribution, PairwiseObservations
@@ -57,6 +60,8 @@ def _shift_halves(n: int, m: int, key, colptr) -> list:
     indices are slices of the conversion's, and their data is one shared
     array of ones, as long as the fullest half.
     """
+    import scipy.sparse as sp
+
     # boolean data: the conversion's own copy of it costs a byte per pair
     stored = sp.csc_matrix((np.ones(key.size, dtype=bool), key, colptr),
                            shape=(m * n, n)).tocsr()
@@ -96,6 +101,8 @@ class CirculantBlockMatrix:
     """
 
     def __init__(self, obs: PairwiseObservations, h):
+        import scipy.sparse as sp
+
         h = np.asarray(h, dtype=float)
         if h.shape != (obs.m,):
             raise ValueError(f"generator must have shape ({obs.m},), got {h.shape}")

@@ -14,11 +14,12 @@ first argument puts mass where the second has none.
 Observed pairs are kept as one index-dtype key y n + i each, under a
 pointer over j, which is the operator's CSC input as it is.  The sampler
 works through the pairs in chunks of ``_CHUNK`` (2^16) pairs, so beside
-the keys it holds O(n + _CHUNK) memory; one search, ``_runs``, finds the
-runs of j a chunk spans.  Chunking keeps every output byte for byte, as
-each draw reads the stream in order, and the chunks read it in the order
-whole-array draws would: every geometric block is drawn to its full
-size, surplus past the last pair included, before any noise.
+the keys it holds O(n + _CHUNK) memory; the runs of j a chunk spans are
+the pointer over j clipped to the chunk.  Chunking keeps every output
+byte for byte, as each draw reads the stream in order, and the chunks
+read it in the order whole-array draws would: every geometric block is
+drawn to its full size, surplus past the last pair included, before any
+noise.
 
 The draws are numpy's, value for value, at less cost per draw.  Below
 p_obs = 1/3 a geometric gap is ceil(E / -log1p(-p_obs)) of a standard
@@ -317,8 +318,9 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     Two passes over the pairs, each in chunks of ``_CHUNK``, keep the
     memory at about one index-dtype integer per pair: the first writes
     each pair's i into its key and counts the pairs per j, the second
-    draws eta, subtracts x_j once per run of j, wraps the sum into
-    0..m-1 by sign masks and adds y n to the keys.  The gaps of the first
+    draws eta, subtracts x_j once per run of j (colptr clipped to the
+    chunk gives the runs), wraps the sum into 0..m-1 by sign masks and
+    adds y n to the keys.  The gaps of the first
     pass are ``Generator.geometric``'s, from one exponential fill per
     chunk below p_obs = 1/3 and numpy's search from 1/3 up.  eta counts
     the first m - 1 cdf entries at or below one uniform per pair, the
@@ -360,7 +362,11 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     for lo in range(0, key.size, _CHUNK):
         i = key[lo:lo + _CHUNK]
         u = rng.random(out=buf[:i.size])
-        first, counts = _runs(colptr, np.arange(lo, lo + i.size))
+        # the runs of j over positions lo..hi - 1 are colptr's, clipped there
+        hi = lo + i.size
+        first = int(np.searchsorted(colptr, lo, side="right")) - 1
+        end = int(np.searchsorted(colptr, hi - 1, side="right"))
+        counts = np.diff(np.clip(colptr[first:end + 1], lo, hi))
         # y_ij = (x_i - x_j + eta) mod m, stored with i > j
         y = x[i]
         y -= np.repeat(x[first:first + counts.size], counts)
@@ -515,7 +521,11 @@ def _pair_of_rank(k: np.ndarray, starts: np.ndarray, out: np.ndarray):
 def _runs(starts: np.ndarray, k: np.ndarray):
     """The run that k[0] falls in, and the count of k in each run from it to
     the run of k[-1]; run r holds positions starts[r] up to starts[r + 1],
-    empty where starts repeat.  k is nonempty and ascending."""
+    empty where starts repeat.  k is nonempty and ascending.
+
+    Only the unranking searches: its ranks have gaps.  The noise pass, whose
+    positions are consecutive, clips the column pointer instead.
+    """
     first = int(np.searchsorted(starts, k[0], side="right")) - 1
     end = int(np.searchsorted(starts, k[-1], side="right"))
     return first, np.diff(np.searchsorted(k, starts[first + 1:end]), prepend=0, append=k.size)

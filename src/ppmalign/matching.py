@@ -15,6 +15,11 @@ that need one answer per score.
 
 Permutations are represented as 0-based index arrays p of length m, with
 matrix form P[a, p[a]] = 1.
+
+scipy loads late: ``scipy.sparse`` at the first ``DenseBlockMatrix`` and
+``scipy.optimize``, with scipy's dense and sparse linear algebra and their
+own BLAS, at the first assignment solve.  Only a run that needs them pays
+for their import (README, Dependencies, gives the import times).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .likelihood import _csv_records, _csv_text, _edge_list, _index_dtype, _observed_pairs
 from .solver import _power_loop
@@ -32,12 +36,7 @@ _LAP_TOL = 1e-9
 
 
 def linear_sum_assignment(score, maximize=False):
-    """scipy's assignment solver, imported at its first call.
-
-    ``scipy.optimize`` loads scipy's dense and sparse linear algebra, and
-    with them scipy's own BLAS, so only a run that solves an assignment
-    pays for it.
-    """
+    """scipy's assignment solver, imported at its first call."""
     from scipy.optimize import linear_sum_assignment as solve
 
     return solve(score, maximize=maximize)
@@ -182,12 +181,17 @@ class DenseBlockMatrix:
     """
 
     def __init__(self, obs: MatchObservations):
+        import scipy.sparse as sp
+
         self.n = obs.n
         self.m = obs.m
-        e, a, b = np.nonzero(obs.blocks)
-        vals = obs.blocks[e, a, b]
+        flat = np.flatnonzero(obs.blocks)
+        e, ab = np.divmod(flat, self.m * self.m)
+        a, b = np.divmod(ab, self.m)
+        vals = obs.blocks.ravel()[flat]
         rows = obs.ii[e] * self.m + a
         cols = obs.jj[e] * self.m + b
+        del flat, e, ab, a, b  # before the conversion's peak
         nm = self.n * self.m
         self._a = sp.csr_matrix(
             (np.concatenate([vals, vals]),

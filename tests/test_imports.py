@@ -1,6 +1,8 @@
 """Every module-level import in the package is used by its module, no
-module reaches scipy's dense or sparse linear algebra, and an alignment run
-loads neither, nor ``scipy.optimize``, which loads both.
+module reaches scipy's dense or sparse linear algebra, the package and its
+command line load no scipy until the first operator build, which loads
+``scipy.sparse``, and an alignment run loads neither linear algebra, nor
+``scipy.optimize``, which loads both.
 
 No linter runs on this code base, so a deletion that leaves an import
 behind is caught here, with the standard library's ``ast``.  scipy's
@@ -10,6 +12,7 @@ trial took 165 ms against 106 ms with numpy's pool alone.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +147,52 @@ def test_matching_loads_the_assignment_solver_at_first_call():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(ppmalign.__file__).parents[1])
     assert out.stdout.split() == ["False", "True"]
+
+
+def scipy_loaded(code: str) -> list[list[str]]:
+    """Run code in a fresh interpreter; each ``loaded()`` it calls gives
+    the scipy modules in ``sys.modules`` by then, sorted.  What the code
+    itself prints, as a CLI command does, goes to the null device."""
+    prelude = ("import json, os, sys\n"
+               "_out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+               "def loaded():\n"
+               "    print(json.dumps(sorted(m for m in sys.modules\n"
+               "                            if m.split('.')[0] == 'scipy')), file=_out)\n")
+    out = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+                         text=True, cwd=Path(ppmalign.__file__).parents[1])
+    assert out.returncode == 0, out.stderr
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["thresholds", "--n", "1000", "--m", "3"], 0),
+    (["align", "--bogus", "1"], 2),
+    (["align", "--n", "zero"], 2),
+    (["--help"], 0),
+])
+def test_package_and_cli_without_an_operator_load_no_scipy(argv, status):
+    code = ("import ppmalign, ppmalign.cli\n"
+            "loaded()\n"
+            "try:\n"
+            f"    status = ppmalign.cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            f"assert status == {status}, status\n"
+            "loaded()\n")
+    assert scipy_loaded(code) == [[], []]
+
+
+@pytest.mark.parametrize("make", [
+    "ppmalign.build(ppmalign.sample_observations("
+    "[1, 2, 3, 1, 2], ppmalign.random_corruption(0.8, 3), 0.5, seed=1))",
+    "ppmalign.DenseBlockMatrix(ppmalign.sample_match_observations(6, 3, 0.1, seed=1)[0])",
+], ids=["build", "DenseBlockMatrix"])
+def test_first_operator_build_loads_scipy_sparse_alone(make):
+    code = f"import ppmalign\nloaded()\n{make}\nloaded()\n"
+    before, after = scipy_loaded(code)
+    assert before == []
+    assert "scipy.sparse" in after
+    assert [m for m in after if m == "scipy.optimize" or _is_linalg(m)] == []
 
 
 ROOT = Path(__file__).resolve().parents[1]
