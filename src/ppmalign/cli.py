@@ -99,10 +99,6 @@ def _cmd_thresholds(args: argparse.Namespace) -> None:
 def _cmd_match(args: argparse.Namespace) -> None:
     n, corrupt = _flag(args, "n", 50, _to_int), _flag(args, "corrupt", 0.3, _to_float)
     m, seed, iters = _flag(args, "m", 10), _flag(args, "seed", 0), _flag(args, "iters", 50)
-    if iters < 0:
-        raise ConfigError("iters: must be >= 0")
-    if seed < 0:
-        raise ConfigError("seed: must be >= 0")
     truth = None
     if args.obs is not None:
         if args.corrupt is not None:
@@ -116,15 +112,16 @@ def _cmd_match(args: argparse.Namespace) -> None:
             raise ConfigError(f"obs: cannot read {args.obs!r}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"obs: {exc}") from None
-    else:
-        try:
+    # the sampler and match_solve reject a bad n, m, corrupt, seed or iters
+    try:
+        if args.obs is None:
             obs, truth = sample_match_observations(n, m, corrupt, seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"match: {exc}") from None
+        rep = match_solve(obs, T=iters, seed=seed, truth=truth)
+    except ValueError as exc:
+        raise ConfigError(f"match: {exc}") from None
+    if truth is not None:
         print(f"synthetic instance: input mismatch rate "
               f"{input_mismatch_rate(obs, truth):.4f}", file=sys.stderr)
-    rep = match_solve(obs, T=iters, seed=seed, truth=truth)
-    if truth is not None:
         print(f"final mismatch rate {rep.final_mismatch:.4f} "
               f"after {rep.iterations_run} iterations", file=sys.stderr)
     _write_output(rep.estimates_csv(), args.out)

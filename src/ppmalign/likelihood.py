@@ -264,6 +264,24 @@ def _edge_list(n: int, m: int, *columns):
     return (i, j, *rest, order)
 
 
+def _int_array(x, name: str, ndim: int, lo: int, hi: int | None = None) -> np.ndarray:
+    """The one check of label, permutation and truth arrays: x, a list or
+    an ndim-d integer array with every value in lo..hi (by default the
+    last axis's length less one, the features of a permutation row), as
+    int64, not copied when it is.  Float, bool and object arrays, and so an
+    integer beyond int64, raise ValueError: a cast would misread them."""
+    x = np.asarray(x)
+    if x.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d")
+    if x.size and x.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers")
+    hi = x.shape[-1] - 1 if hi is None else hi
+    if x.size and (x.min() < lo or x.max() > hi):
+        raise ValueError(f"{name} must lie in {lo}..{hi}")
+    # every value is in range now, so the cast is exact
+    return x.astype(np.int64, copy=False)
+
+
 def _rising(i, j) -> bool:
     """Whether the pairs (j, i) rise strictly in lexicographic order."""
     later, earlier = j[1:], j[:-1]
@@ -326,8 +344,7 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     the first m - 1 cdf entries at or below one uniform per pair, the
     value a search with side="right" gives, at O(m) per pair; that beats
     the search up to m = 150 and loses from m = 200 (n = 1000, p_obs = 1),
-    where one operator product costs O(E m) anyway.  The exponentials
-    and the uniforms share one float64 chunk buffer.  The stream is read
+    where one operator product costs O(E m) anyway.  The stream is read
     in the order whole-array draws would read it, so the chunk size does
     not change the output.
 
@@ -342,21 +359,16 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     seed : int
         Seed for the pair selection and the noise draws.
     """
-    x = np.asarray(x)
     m = d.m
-    if x.ndim != 1 or x.size < 2:
+    x = _int_array(x, "labels", 1, 1, m)
+    if x.size < 2:
         raise ValueError("need at least two items")
-    if x.dtype.kind not in "iu":
-        raise ValueError("labels must be integers")
-    if np.any(x < 1) or np.any(x > m):
-        raise ValueError(f"labels must lie in 1..{m}")
     n = x.size
     dtype = _index_dtype(n, m)
     x = x.astype(dtype, copy=False)
     rng = np.random.default_rng(seed)
-    # one float64 chunk for the exponentials of the gaps and the uniforms of the noise
-    buf = np.empty(min(_CHUNK, n * (n - 1) // 2))
-    key, colptr = _pair_pattern(n, p_obs, rng, dtype, buf)
+    key, colptr = _pair_pattern(n, p_obs, rng, dtype)
+    buf = np.empty(min(_CHUNK, key.size))  # float64 scratch for the uniforms
     cdf = np.cumsum(d.p0)[:-1]
     sign = 8 * key.itemsize - 1
     for lo in range(0, key.size, _CHUNK):
@@ -391,11 +403,11 @@ def _observed_pairs(n: int, p_obs: float, rng: np.random.Generator, dtype):
     The pairs of ``_pair_pattern``, with the pointer expanded to one a per
     pair.
     """
-    b, colptr = _pair_pattern(n, p_obs, rng, dtype, np.empty(min(_CHUNK, n * (n - 1) // 2)))
+    b, colptr = _pair_pattern(n, p_obs, rng, dtype)
     return np.repeat(np.arange(n, dtype=dtype), np.diff(colptr)), b
 
 
-def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype, buf: np.ndarray):
+def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype):
     """The pairs a < b kept at rate p_obs, as b in dtype and a pointer over a.
 
     The one pair sampler and the one check of p_obs for both problem
@@ -405,8 +417,7 @@ def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype, buf: np
     columns a.  Each chunk of ranks is unranked as it is drawn, so beside
     b only O(n + ``_CHUNK``) memory is used.  The buffer for b is sized
     to the first block of draws; in the rare sweep that outlasts it, it
-    grows by each further chunk.  ``buf`` is float64 scratch of
-    min(``_CHUNK``, n(n - 1)/2) entries for the gap draws.
+    grows by each further chunk.
     """
     if not 0 < p_obs <= 1:
         raise ValueError(f"p_obs must lie in (0, 1], got {p_obs}")
@@ -415,7 +426,7 @@ def _pair_pattern(n: int, p_obs: float, rng: np.random.Generator, dtype, buf: np
     b = np.empty(_block_size(total, p_obs), dtype=dtype)
     colptr = np.zeros(n + 1, dtype=np.int64)
     e = 0
-    for k in _kept_ranks(total, p_obs, rng, buf):
+    for k in _kept_ranks(total, p_obs, rng):
         if e + k.size > b.size:
             b = np.concatenate((b[:e], np.empty(k.size, dtype=dtype)))
         first, counts = _pair_of_rank(k, starts, b[e:e + k.size])
@@ -433,15 +444,15 @@ def _block_size(left: int, p_obs: float) -> int:
     return min(left, int(mean + 4.0 * math.sqrt(mean)) + 16)
 
 
-def _kept_ranks(total: int, p_obs: float, rng, buf: np.ndarray):
+def _kept_ranks(total: int, p_obs: float, rng):
     """The ranks below ``total`` kept at rate p_obs, ascending, in chunks.
 
     The gaps between kept ranks are geometric(p_obs) variables (Batagelj &
     Brandes, Phys. Rev. E 71, 2005), drawn by ``_geometric`` in blocks of
     ``_block_size`` and each block in chunks of at most ``_CHUNK``: below
-    p_obs = 1/3 as standard exponentials filled into ``buf`` and divided
-    by the rate, from 1/3 up by ``Generator.geometric``'s search.  The
-    noise that follows costs O(m) per pair (see ``sample_observations``).
+    p_obs = 1/3 as standard exponentials filled into a float64 chunk and
+    divided by the rate, from 1/3 up by ``Generator.geometric``'s search.
+    The noise that follows costs O(m) per pair (see ``sample_observations``).
     A block is drawn to its end even past the last rank: the noise draws
     that follow must start where one draw of the whole block would leave
     the stream.  At p_obs = 1 every rank is kept, and the stream is
@@ -455,6 +466,7 @@ def _kept_ranks(total: int, p_obs: float, rng, buf: np.ndarray):
         for lo in range(0, total, _CHUNK):
             yield np.arange(lo, min(lo + _CHUNK, total))
         return
+    buf = np.empty(min(_CHUNK, total))
     last = -1  # the last rank drawn, past the end once the sweep is over
     while last < total - 1:
         size = _block_size(total - 1 - last, p_obs)
@@ -505,30 +517,19 @@ def _pair_of_rank(k: np.ndarray, starts: np.ndarray, out: np.ndarray):
     """Unrank ascending lexicographic pair ranks k to pairs (a, b), a < b.
 
     Row a starts at rank a(2n - a - 1)/2 (``starts``, from ``_row_starts``),
-    so ``_runs`` gives each row's share of k in exact integer arithmetic,
-    at O(k.size + rows spanned) a chunk.  Each b goes to ``out`` in its
-    dtype; the rows come back as ``_runs`` gives them, none for empty k.
+    so two searches give, exactly and at O(k.size + rows spanned) a chunk,
+    the row of k[0] and the count of k in each row from it to that of
+    k[-1], which are returned (none for empty k).  b goes to ``out``.
     """
     if k.size == 0:
         return 0, np.zeros(0, dtype=np.intp)
-    first, counts = _runs(starts, k)
-    rows = np.arange(first, first + counts.size)
+    first = int(np.searchsorted(starts, k[0], side="right")) - 1
+    end = int(np.searchsorted(starts, k[-1], side="right"))
+    counts = np.diff(np.searchsorted(k, starts[first + 1:end]), prepend=0, append=k.size)
+    rows = np.arange(first, end)
     # b = k - starts[a] + a + 1, and b < n, so the cast is exact
     np.subtract(k, np.repeat(starts[rows] - rows - 1, counts), out=out, casting="unsafe")
     return first, counts
-
-
-def _runs(starts: np.ndarray, k: np.ndarray):
-    """The run that k[0] falls in, and the count of k in each run from it to
-    the run of k[-1]; run r holds positions starts[r] up to starts[r + 1],
-    empty where starts repeat.  k is nonempty and ascending.
-
-    Only the unranking searches: its ranks have gaps.  The noise pass, whose
-    positions are consecutive, clips the column pointer instead.
-    """
-    first = int(np.searchsorted(starts, k[0], side="right")) - 1
-    end = int(np.searchsorted(starts, k[-1], side="right"))
-    return first, np.diff(np.searchsorted(k, starts[first + 1:end]), prepend=0, append=k.size)
 
 
 def regularize_observations(obs: PairwiseObservations, varsigma: float, seed: int) -> PairwiseObservations:

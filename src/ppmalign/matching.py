@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import _csv_records, _csv_text, _edge_list, _index_dtype, _observed_pairs
+from .likelihood import (_csv_records, _csv_text, _edge_list, _index_dtype, _int_array,
+                         _observed_pairs)
 from .solver import _power_loop
 from .spectral import _WARM_START_TOL, orthogonal_iteration
 
@@ -253,15 +254,13 @@ def mismatch_rate(perms, truth) -> float:
     relabeling of features, chosen by a final assignment on match counts;
     0 when there is no pair to assign.  Raises ValueError on a feature
     outside 0..m-1."""
-    perms = np.asarray(perms, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if perms.shape != truth.shape or perms.ndim != 2:
+    perms = _int_array(perms, "perms", 2, 0)
+    truth = _int_array(truth, "truth", 2, 0)
+    if perms.shape != truth.shape:
         raise ValueError("perms and truth must both be (n, m)")
     n, m = perms.shape
     if n * m == 0:
         return 0.0
-    if min(perms.min(), truth.min()) < 0 or max(perms.max(), truth.max()) >= m:
-        raise ValueError(f"perms and truth must hold features in 0..{m - 1}")
     counts = np.bincount(truth.ravel() * m + perms.ravel(), minlength=m * m).reshape(m, m)
     rows, g = linear_sum_assignment(counts, maximize=True)
     matched = counts[rows, g].sum()
@@ -273,11 +272,15 @@ def input_mismatch_rate(obs: MatchObservations, truth) -> float:
 
     Each block row's argmax is read as the input's proposed feature match;
     intended for permutation-valued inputs such as the synthetic corrupted
-    instances.  Raises ValueError when no pair is observed.
+    instances.  Raises ValueError when no pair is observed, or unless truth
+    holds one permutation of 0..m-1 per item, as its inverse assumes.
     """
     if obs.n_edges == 0:
         raise ValueError("no observed pairs to compare")
-    ref = _consistent_cols(np.asarray(truth, dtype=np.int64), obs.ii, obs.jj)
+    truth = _int_array(truth, "truth", 2, 0, obs.m - 1)
+    if truth.shape != (obs.n, obs.m) or not np.all(np.sort(truth, axis=1) == np.arange(obs.m)):
+        raise ValueError(f"truth must be {obs.n} permutations of 0..{obs.m - 1}")
+    ref = _consistent_cols(truth, obs.ii, obs.jj)
     wrong = int(np.count_nonzero(np.argmax(obs.blocks, axis=2) != ref))
     return wrong / (obs.n_edges * obs.m)
 
@@ -322,9 +325,8 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
     assignments alternate between two states, products stop while the
     report still covers all T iterations.
     """
-    if T < 0:
-        raise ValueError("iteration budget must be nonnegative")
     n, m = obs.n, obs.m
+    truth_arr = None if truth is None else _int_array(truth, "truth", 2, 0, m - 1)
     op = DenseBlockMatrix(obs)
     rng = np.random.default_rng(seed)
     fac = orthogonal_iteration(op, r=m, tol=_WARM_START_TOL, seed=int(rng.integers(2**63)))
@@ -337,7 +339,6 @@ def match_solve(obs: MatchObservations, T: int, seed: int, truth=None) -> MatchR
         z[rows, feats, cur] = 1.0
         return _maximizers(op.matmat(z.reshape(n * m, m)).reshape(n, m, m))
 
-    truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
     score = None if truth_arr is None else (lambda p: mismatch_rate(p, truth_arr))
     perms, trace, ran, met = _power_loop(perms, step, 0.0, T, True, score)
     return MatchReport(

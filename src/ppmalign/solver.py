@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import MissingSigmaError
-from .likelihood import _csv_text
+from .likelihood import _csv_text, _int_array
 from .simplex import project_blockwise
 
 # finite-mu fixed-point tolerance for early stopping
@@ -31,11 +31,7 @@ _STALL_TOL = 1e-10
 
 def lift(labels, m: int) -> np.ndarray:
     """One-hot blocks for labels in {1, ..., m}: an (n, m) vertex iterate."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-d")
-    if labels.size and (labels.min() < 1 or labels.max() > m):
-        raise ValueError(f"labels must lie in 1..{m}")
+    labels = _int_array(labels, "labels", 1, 1, m)
     z = np.zeros((labels.size, m))
     z[np.arange(labels.size), labels - 1] = 1.0
     return z
@@ -55,10 +51,10 @@ def mcr(a, b, m: int) -> float:
     with b shifted by l exactly where (a - b) mod m = l, so one count of
     those residues scores every shift.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError("label vectors must be 1-d, nonempty, same length")
+    a = _int_array(a, "labels", 1, 1, m)
+    b = _int_array(b, "labels", 1, 1, m)
+    if a.shape != b.shape or a.size == 0:
+        raise ValueError("label vectors must be nonempty and of one length")
     agree = int(np.bincount((a - b) % m).max())
     return (a.size - agree) / a.size
 
@@ -172,8 +168,11 @@ def _power_loop(z, step, tol: float, T: int, early_stop: bool, score=None):
     iterate repeats bit for bit, the rest of the budget is run out around
     its orbit without further steps.
 
-    Returns (z, trace or None, steps counted, whether the last one stalled).
+    Returns (z, trace or None, steps counted, whether the last one stalled);
+    raises ValueError when T < 0, for both families.
     """
+    if T < 0:
+        raise ValueError("iteration budget must be nonnegative")
     trace = None if score is None else [score(z)]
     ran = 0
     met = False
@@ -238,10 +237,8 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
     z = np.array(z0, dtype=float)
     if z.shape != (L.n, L.m):
         raise ValueError(f"z0 must have shape {(L.n, L.m)}")
-    if T < 0:
-        raise ValueError("iteration budget must be nonnegative")
     mu = policy.resolve_mu(sigmas, L.m)
-    truth_arr = None if truth is None else np.asarray(truth, dtype=np.int64)
+    truth_arr = None if truth is None else _int_array(truth, "truth", 1, 1, L.m)
     score = None if truth_arr is None else (lambda z: mcr(labels_of(z), truth_arr, L.m))
     tol = 0.0 if math.isinf(mu) else _STALL_TOL
     z, trace, ran, met = _power_loop(z, lambda z: project_blockwise(L.matvec(z), mu),
@@ -275,8 +272,8 @@ def check_contraction(L, truth, policy: ScalingPolicy, trials: int = 100,
     ratio below 1 is the empirical signature of the basin of attraction;
     above 1 flags non-contraction.
     """
-    truth_arr = np.asarray(truth, dtype=np.int64)
     n, m = L.n, L.m
+    truth_arr = _int_array(truth, "truth", 1, 1, m)
     if truth_arr.shape != (n,):
         raise ValueError("truth length must match the matrix")
     if n < 2:

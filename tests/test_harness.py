@@ -107,6 +107,7 @@ class TestConfigText:
         assert cfg.init_iters == 40
         assert cfg.early_stop is True
         assert out == "sweep.csv"
+        assert build_config({"early_stop": " Off "})[0].early_stop is False
 
     def test_init_tol_is_not_a_key(self, tmp_path):
         # the pipeline factors to _WARM_START_TOL; a config cannot set it
@@ -561,7 +562,12 @@ class TestCli:
             # finite, but the eigensolver's squared norms would overflow
             "huge": [ln[:-2] + ",1e308" if ln.endswith(",1") else ln for ln in lines],
         }
-        runs = [("--n", "abc"), ("--n", "0"), ("--m", "0"), ("--seed", "-1")]
+        runs = [("--n", "abc"), ("--n", "0"), ("--m", "0"), ("--seed", "-1"), ("--iters", "-1")]
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(lines) + "\n")
+        # a loaded instance reaches the solver, which rejects the budget and the seed
+        for flag in ("--iters", "--seed"):
+            runs.append(("--obs", str(good), "--n", "4", "--m", "2", flag, "-1"))
         for name, text in bad_files.items():
             path = tmp_path / f"{name}.csv"
             path.write_text("\n".join(text) + "\n")

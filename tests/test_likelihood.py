@@ -24,16 +24,22 @@ from conftest import (
 from ppmalign import likelihood
 from ppmalign.blockmat import build
 from ppmalign.exceptions import RegularizationRequiredError
-from ppmalign.matching import MatchObservations, sample_match_observations
+from ppmalign.matching import (
+    MatchObservations,
+    input_mismatch_rate,
+    match_solve,
+    mismatch_rate,
+    sample_match_observations,
+)
 from ppmalign.likelihood import (
     NoiseDistribution,
     PairwiseObservations,
     _edge_list,
     _geometric,
+    _int_array,
     _observed_pairs,
     _pair_of_rank,
     _row_starts,
-    _runs,
     kl_min_max,
     modified_gaussian,
     random_corruption,
@@ -43,6 +49,7 @@ from ppmalign.likelihood import (
     threshold_kl,
     threshold_random_corruption,
 )
+from ppmalign.solver import ScalingPolicy, check_contraction, lift, mcr, solve
 
 
 class TestDistributions:
@@ -476,6 +483,70 @@ class TestEdgeList:
             PairwiseObservations.from_csv("", n=5, m=2)
 
 
+def _label_readers():
+    """Each reader of a label or permutation array, as (valid array, call
+    with an array in its place): labels in 1..3, features in 0..2."""
+    x = np.array([1, 2, 3, 1, 2])
+    d = random_corruption(0.9, 3)
+    L = build(sample_observations(x, d, 1.0, seed=0))
+    obs, perms = sample_match_observations(5, 3, 0.2, seed=0)
+    inf = ScalingPolicy.infinite()
+    return {
+        "sample_observations": (x, lambda a: sample_observations(a, d, 1.0, seed=0)),
+        "lift": (x, lambda a: lift(a, 3)),
+        "mcr": (x, lambda a: mcr(x, a, 3)),
+        "solve": (x, lambda a: solve(L, lift(x, 3), inf, 2, truth=a)),
+        "check_contraction": (x, lambda a: check_contraction(L, a, inf, trials=2)),
+        "mismatch_rate": (perms, lambda a: mismatch_rate(perms, a)),
+        "match_solve": (perms, lambda a: match_solve(obs, 2, seed=0, truth=a)),
+        "input_mismatch_rate": (perms, lambda a: input_mismatch_rate(obs, a)),
+    }
+
+
+def _with_first(good, value):
+    """good as nested lists, its first entry replaced by value."""
+    bad = good.tolist()
+    (bad[0] if good.ndim == 2 else bad)[0] = value
+    return bad
+
+
+class TestLabelArrays:
+    @pytest.mark.parametrize("kind", ["float", "bool", "beyond int64", "2^63", "out of range"])
+    @pytest.mark.parametrize("reader", list(_label_readers()))
+    def test_every_reader_rejects_what_a_cast_would_misread(self, reader, kind):
+        # the parent's int64 casts truncated floats, read bools as 0 and 1
+        # and overflowed on 2^70
+        good, call = _label_readers()[reader]
+        call(good)
+        hi = good.max() if good.ndim == 1 else good.shape[1] - 1
+        bad = {"float": good + 0.5, "bool": good == good.flat[0],
+               "beyond int64": _with_first(good, 2**70), "2^63": _with_first(good, 2**63),
+               "out of range": _with_first(good, hi + 1)}[kind]
+        with pytest.raises(ValueError, match="must be integers|must lie in"):
+            call(bad)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t[:-1], "permutations"),  # one item short
+        (lambda t: t[:, :2], "permutations"),  # one feature short
+        (lambda t: np.r_[[[0, 0, 1]], t[1:]], "permutations"),  # a row that repeats 0
+        (lambda t: t[0], "2-d"),
+    ], ids=["item short", "feature short", "repeated feature", "1-d"])
+    def test_input_mismatch_needs_one_permutation_per_item(self, edit, message):
+        # the argsort inverse scored a row [0, 0, 1] as if it were one
+        obs, truth = sample_match_observations(5, 3, 0.2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            input_mismatch_rate(obs, edit(truth))
+
+    def test_int64_is_not_copied_and_lists_are_read(self):
+        x = np.array([1, 3, 2], dtype=np.int64)
+        assert _int_array(x, "labels", 1, 1, 3) is x
+        for a in ([1, 3, 2], x.astype(np.uint8), x.astype(np.int32)):
+            got = _int_array(a, "labels", 1, 1, 3)
+            assert got.dtype == np.int64 and got.tobytes() == x.tobytes()
+        # an empty array holds nothing to misread, whatever its dtype
+        assert _int_array([], "labels", 1, 1, 3).dtype == np.int64
+
+
 class _FixedGaps:
     """Stands in for a Generator whose geometric(p) draws, p < 1/3, are all
     ``gap``: each standard exponential E is one that ceil(E / -log1p(-p))
@@ -555,21 +626,6 @@ class TestPairSampler:
         ra, rb = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(rows, ra[k])
         np.testing.assert_array_equal(cols, rb[k])
-
-    @settings(max_examples=examples(200), deadline=None)
-    @given(data=st.data(), offset=st.integers(0, 5),
-           sizes=st.lists(st.integers(0, 3), min_size=1, max_size=40).filter(any))
-    def test_runs_match_brute_force(self, data, offset, sizes):
-        # run lengths, 0 for the empty run that a repeated start makes, as
-        # an empty column does in a CSC pointer
-        starts = np.cumsum([offset, *sizes])
-        ends = [p for a, b in zip(starts[:-1], starts[1:]) if b > a for p in (a, b - 1)]
-        at = st.one_of(st.sampled_from(ends), st.integers(starts[0], starts[-1] - 1))
-        k = np.unique(data.draw(st.lists(at, min_size=1, max_size=20)))
-        runs = np.searchsorted(starts, k, "right") - 1
-        first, counts = _runs(starts, k)
-        assert first == runs[0]
-        np.testing.assert_array_equal(counts, np.bincount(runs - runs[0]))
 
     @pytest.mark.parametrize("p_obs", [0, -0.5, 1.5, math.nan])
     def test_rate_outside_unit_interval_rejected(self, p_obs):

@@ -292,6 +292,8 @@ class TestObservations:
     def test_csv_of_no_pairs_is_the_header(self):
         obs = MatchObservations(n=1, m=3, ii=[], jj=[], blocks=np.empty((0, 3, 3)))
         assert obs.to_csv() == "i,j,row,col,value\n"
+        with pytest.raises(ValueError, match="no blocks found"):
+            MatchObservations.from_csv(obs.to_csv(), n=1, m=3)
 
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,18 @@ class TestOrthogonalIteration:
             assert fac.residual == pytest.approx(want, rel=1e-6, abs=1e-14)
             assert fac.converged == (fac.residual <= tol)
 
+    def test_unmet_stopping_margin_is_reported(self):
+        # a 6-item path beside 3 isolated items, +-1.80194 repeated in all 5
+        # channels: the quarter-tol stopping margin leaves the Ritz step at
+        # about 3 tol, which must read as not converged (ROADMAP 2(c)).  The
+        # recomputed residual differs from the reported one by rounding
+        L, _ = circulant_instance(9, 5, 0.2, "agreement", 14)
+        fac = orthogonal_iteration(L, r=1, tol=1e-8, seed=14)
+        want = np.linalg.norm(L.matmat(fac.U) - fac.U * fac.theta, axis=0).max() / fac.S[0]
+        assert fac.converged is False
+        assert fac.residual > 1e-8
+        assert fac.residual == pytest.approx(want, rel=1e-4)
+
     def test_iterations_count_operator_columns(self):
         L, _ = recovery_instance(40, 3, 0.6, seed=0)
         for op, cap in ((DenseOp(CLUSTERED), 1), (DenseOp(CLUSTERED), 200), (L, 200)):
