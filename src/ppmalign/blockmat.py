@@ -37,6 +37,7 @@ import numpy as np
 
 from .exceptions import RegularizationRequiredError
 from .likelihood import NoiseDistribution, PairwiseObservations
+from .simplex import _blocks
 
 FORMS = ("agreement", "loglik", "debiased-loglik")
 
@@ -135,10 +136,7 @@ class CirculantBlockMatrix:
 
     def matvec(self, z):
         """Blockwise product: returns w with w_i = sum_j L_ij z_j, shape (n, m)."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.n, self.m):
-            raise ValueError(f"expected blocks of shape {(self.n, self.m)}, got {z.shape}")
-        return self._apply(z)
+        return self._apply(_blocks(z, (self.n, self.m)))
 
     def matmat(self, x):
         """Product with an (nm, r) matrix, columns treated as block vectors."""

@@ -23,6 +23,7 @@ from .exceptions import ConfigError
 from .likelihood import (
     NoiseDistribution,
     _csv_text,
+    _index_dtype,
     modified_gaussian,
     random_corruption,
     regularize,
@@ -95,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError(f"m: must be at least 2, got {self.m}")
         if not self.n_grid or any(n < 2 for n in self.n_grid):
             raise ConfigError(f"n: every grid value must be >= 2, got {self.n_grid}")
+        try:
+            _index_dtype(max(self.n_grid), self.m)
+        except ValueError as exc:
+            raise ConfigError(f"n: {exc}") from None
         if not self.param_grid:
             raise ConfigError("param: grid must be nonempty")
         if self.model == "custom_p0":

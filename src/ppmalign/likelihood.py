@@ -223,39 +223,33 @@ class PairwiseObservations:
 
 
 def _index_dtype(n: int, m: int):
-    """int32 when every index into the (n m)-long lifted vector fits it, else int64."""
+    """int32 when every index into the (n m)-long lifted vector fits it, else
+    int64; ValueError when n or m is below 1 or int64 cannot hold y n + i."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 items and m >= 1 features")
+    if n * m >= 2**63:
+        raise ValueError(f"n m = {n * m} is beyond int64")
     return np.int32 if n * m < 2**31 else np.int64
 
 
 def _edge_list(n: int, m: int, *columns):
     """Validate aligned edge columns i, j, y... and return them in the index dtype.
 
-    Needs n >= 1 items and m >= 1 labels.  Every column is a 1-d integer
-    array (lists are accepted) of one length; input already in
-    ``_index_dtype(n, m)`` is not copied.  The first two columns are the
-    endpoints of unordered pairs, each stored once with i > j and both ends
-    in 0..n-1; any further columns are residues in 0..m-1.  The last value
-    returned is the permutation that sorts the pairs by (j, i), or None
-    when they come sorted, as both samplers emit them; the repeat test is
-    then linear and only other inputs are sorted.
+    ``_int_array`` reads each 1-d column in ``_index_dtype(n, m)``, which
+    checks n and m: the ends i > j of each pair in 0..n-1, then any
+    residues in 0..m-1.  The last value returned is the permutation that
+    sorts the pairs by (j, i), or None when they come sorted, as from
+    ``sample_match_observations`` or a CSV that ``PairwiseObservations``
+    wrote; the repeat test is then linear and only other inputs are sorted.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 items and m >= 1 features")
+    dtype = _index_dtype(n, m)
     columns = [np.asarray(c) for c in columns]
     if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
         raise ValueError("edge arrays must be aligned 1-d arrays")
-    if columns[0].size and any(c.dtype.kind not in "iu" for c in columns):
-        raise ValueError("edge arrays must hold integers")
-    i, j, *rest = columns
+    i, j = (_int_array(c, "edge endpoints", 1, 0, n - 1, dtype) for c in columns[:2])
+    rest = [_int_array(y, "residues", 1, 0, m - 1, dtype) for y in columns[2:]]
     if i.size and not np.all(i > j):
         raise ValueError("edges must be stored with i > j")
-    if i.size and (i.max() >= n or j.min() < 0):
-        raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
-    if any(y.size and (y.min() < 0 or y.max() >= m) for y in rest):
-        raise ValueError("residues out of range")
-    # every value is in range now, so the cast is exact
-    dtype = _index_dtype(n, m)
-    i, j, *rest = (c.astype(dtype, copy=False) for c in columns)
     order = None
     if not _rising(i, j):
         order = np.lexsort((i, j))
@@ -264,12 +258,13 @@ def _edge_list(n: int, m: int, *columns):
     return (i, j, *rest, order)
 
 
-def _int_array(x, name: str, ndim: int, lo: int, hi: int | None = None) -> np.ndarray:
-    """The one check of label, permutation and truth arrays: x, a list or
-    an ndim-d integer array with every value in lo..hi (by default the
-    last axis's length less one, the features of a permutation row), as
-    int64, not copied when it is.  Float, bool and object arrays, and so an
-    integer beyond int64, raise ValueError: a cast would misread them."""
+def _int_array(x, name: str, ndim: int, lo: int, hi: int | None = None,
+               dtype=np.int64) -> np.ndarray:
+    """The one check of label, permutation, truth and edge arrays: x, a
+    list or an ndim-d integer array with every value in lo..hi (by default
+    a permutation row's, the last axis's length less one), as dtype, not
+    copied when it is.  Float, bool and object arrays, and so an integer
+    beyond int64, raise ValueError: a cast would misread them."""
     x = np.asarray(x)
     if x.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-d")
@@ -279,7 +274,7 @@ def _int_array(x, name: str, ndim: int, lo: int, hi: int | None = None) -> np.nd
     if x.size and (x.min() < lo or x.max() > hi):
         raise ValueError(f"{name} must lie in {lo}..{hi}")
     # every value is in range now, so the cast is exact
-    return x.astype(np.int64, copy=False)
+    return x.astype(dtype, copy=False)
 
 
 def _rising(i, j) -> bool:
@@ -359,13 +354,11 @@ def sample_observations(x, d: NoiseDistribution, p_obs: float, seed: int) -> Pai
     seed : int
         Seed for the pair selection and the noise draws.
     """
-    m = d.m
-    x = _int_array(x, "labels", 1, 1, m)
-    if x.size < 2:
+    n, m = np.size(x), d.m
+    if n < 2:
         raise ValueError("need at least two items")
-    n = x.size
     dtype = _index_dtype(n, m)
-    x = x.astype(dtype, copy=False)
+    x = _int_array(x, "labels", 1, 1, m, dtype)
     rng = np.random.default_rng(seed)
     key, colptr = _pair_pattern(n, p_obs, rng, dtype)
     buf = np.empty(min(_CHUNK, key.size))  # float64 scratch for the uniforms

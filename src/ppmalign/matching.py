@@ -153,8 +153,7 @@ class MatchObservations:
         record or an incomplete block.
         """
         records = _csv_records(text, "i,j,row,col,value", (int, int, int, int, float))
-        if n < 1 or m < 1:
-            raise ValueError("need n >= 1 items and m >= 1 features")
+        _index_dtype(n, m)  # checks n and m before i n + j can overflow
         if not records:
             raise ValueError("no blocks found")
         if not all(0 <= i < n and 0 <= j < n and 0 <= a < m and 0 <= b < m
@@ -194,10 +193,9 @@ class DenseBlockMatrix:
         cols = obs.jj[e] * self.m + b
         del flat, e, ab, a, b  # before the conversion's peak
         nm = self.n * self.m
-        self._a = sp.csr_matrix(
-            (np.concatenate([vals, vals]),
-             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(nm, nm))
+        # the pairs lie below the block diagonal, their mirrors above: no sum overlaps
+        lower = sp.csr_matrix((vals, (rows, cols)), shape=(nm, nm))
+        self._a = lower + lower.T
 
     @property
     def shape(self):
@@ -229,9 +227,10 @@ def sample_match_observations(n: int, m: int, corrupt_rate: float, seed: int,
         raise ValueError(f"corrupt_rate must lie in [0, 1], got {corrupt_rate}")
     if n < 2 or m < 1:
         raise ValueError("need at least two items and m >= 1 features")
+    dtype = _index_dtype(n, m)
     rng = np.random.default_rng(seed)
     truth = rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1)
-    a, b = _observed_pairs(n, p_obs, rng, _index_dtype(n, m))
+    a, b = _observed_pairs(n, p_obs, rng, dtype)
     cols = _consistent_cols(truth, b, a)
     bad = rng.random(a.size) < corrupt_rate
     cols[bad] = rng.permuted(np.tile(np.arange(m), (int(bad.sum()), 1)), axis=1)

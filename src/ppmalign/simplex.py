@@ -15,19 +15,23 @@ import math
 import numpy as np
 
 
-def _blocks(z):
-    """z as a float (n, m) array of finite blocks, else ValueError."""
+def _blocks(z, shape=None):
+    """The one check of float blocks: z as a finite float (n, m) array, of shape if given."""
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise ValueError("expected an (n, m) array of blocks")
+    if z.ndim != 2 or shape is not None and z.shape != shape:
+        raise ValueError(f"expected an {shape or '(n, m)'} array of blocks, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
-        raise ValueError("cannot project blocks with non-finite entries")
+        raise ValueError("blocks have non-finite entries")
     return z
 
 
 def project_rows(z):
     """Row-wise simplex projection of an (n, m) array, vectorized."""
-    z = _blocks(z)
+    return _project(_blocks(z))
+
+
+def _project(z):
+    """project_rows of blocks already checked."""
     n, m = z.shape
     u = -np.sort(-z, axis=1)
     css = np.cumsum(u, axis=1)
@@ -52,7 +56,7 @@ def project_blockwise(z, mu):
     Parameters
     ----------
     z : ndarray, shape (n, m)
-        Current blocks.
+        Current blocks, all finite.
     mu : float
         Positive scaling, or ``math.inf`` to round every block to the
         vertex at its largest entry.
@@ -62,14 +66,14 @@ def project_blockwise(z, mu):
     ndarray, shape (n, m)
         Feasible blocks: rows sum to 1, entries >= 0.
     """
-    if math.isinf(mu):
-        return round_rows(z)
+    z = _blocks(z)
     if not mu > 0:
         raise ValueError(f"scaling mu must be positive or inf, got {mu}")
-    z = _blocks(z)
+    if math.isinf(mu):
+        return round_rows(z)
     # P(mu z) is unchanged by a constant added to a row, so each row's maximum
     # is moved to 0.  An entry 1/mu or more below it gets no mass; it is set
     # to exactly -1 instead of scaled, so mu z is never formed, and a row whose
     # top gap is at least 1/mu lands exactly on the vertex at its maximum
     w = z - z.max(axis=1, keepdims=True)
-    return project_rows(np.multiply(w, mu, out=np.full_like(w, -1.0), where=w > -1.0 / float(mu)))
+    return _project(np.multiply(w, mu, out=np.full_like(w, -1.0), where=w > -1.0 / float(mu)))

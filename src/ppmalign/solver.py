@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import MissingSigmaError
 from .likelihood import _csv_text, _int_array
-from .simplex import project_blockwise
+from .simplex import _blocks, project_blockwise
 
 # finite-mu fixed-point tolerance for early stopping
 _STALL_TOL = 1e-10
@@ -39,8 +39,7 @@ def lift(labels, m: int) -> np.ndarray:
 
 def labels_of(z) -> np.ndarray:
     """Per-block argmax as labels in {1, ..., m} (ties: smallest index)."""
-    z = np.asarray(z, dtype=float)
-    return np.argmax(z, axis=1) + 1
+    return np.argmax(_blocks(z), axis=1) + 1
 
 
 def mcr(a, b, m: int) -> float:
@@ -208,7 +207,7 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
     L : CirculantBlockMatrix
         Lifted input matrix (any object with n, m and blockwise matvec).
     z0 : ndarray, shape (n, m)
-        Feasible starting blocks.
+        Feasible starting blocks; non-finite entries raise ValueError.
     policy : ScalingPolicy
         Choice of the projection scaling mu.
     T : int
@@ -234,9 +233,7 @@ def solve(L, z0, policy: ScalingPolicy, T: int, truth=None, sigmas=None,
     iterations: the trace repeats the cycle, z is the iterate step T
     would reach, and ``converged`` is what every later step would find.
     """
-    z = np.array(z0, dtype=float)
-    if z.shape != (L.n, L.m):
-        raise ValueError(f"z0 must have shape {(L.n, L.m)}")
+    z = _blocks(z0, (L.n, L.m)).copy()  # so that the report never aliases z0
     mu = policy.resolve_mu(sigmas, L.m)
     truth_arr = None if truth is None else _int_array(truth, "truth", 1, 1, L.m)
     score = None if truth_arr is None else (lambda z: mcr(labels_of(z), truth_arr, L.m))

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import settings
 
 # a failing property test makes hypothesis write a failure patch with
@@ -104,6 +105,20 @@ def dense_match_expansion(obs) -> np.ndarray:
         out[i * m:(i + 1) * m, j * m:(j + 1) * m] = obs.blocks[e]
         out[j * m:(j + 1) * m, i * m:(i + 1) * m] = obs.blocks[e].T
     return out
+
+
+def coo_match_operator(obs):
+    """CSR matrix of a matching instance by one COO-to-CSR conversion of
+    every nonzero block entry, listed pair by pair in both orientations."""
+    m, nm = obs.m, obs.n * obs.m
+    rows, cols, vals = [], [], []
+    for e in range(obs.n_edges):
+        i, j = int(obs.ii[e]), int(obs.jj[e])
+        for a, b in zip(*np.nonzero(obs.blocks[e])):
+            rows += [i * m + a, j * m + b]
+            cols += [j * m + b, i * m + a]
+            vals += [obs.blocks[e, a, b]] * 2
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nm, nm)).tocsr()
 
 
 def per_pair_sample_observations(x, d, p_obs, seed):

@@ -450,6 +450,10 @@ class TestCli:
                      ["align", "--config", str(seed)],
                      ["sweep", "--config", str(dup)],
                      ["match", "--n", "1", "--m", "3"],
+                     # n m beyond int64: no index dtype holds the lifted vector
+                     ["match", "--n", "99999999999999999999", "--m", "3"],
+                     ["align", "--n", "99999999999999999999"],
+                     ["sweep", "--n", "99999999999999999999"],
                      ["match", "--m", "-2"],
                      ["match", "--corrupt", "1.5"],
                      ["thresholds", "--n", "1"],
@@ -573,6 +577,7 @@ class TestCli:
             path.write_text("\n".join(text) + "\n")
             runs.append(("--obs", str(path), "--n", "4", "--m", "2"))
         runs.append(("--obs", str(tmp_path / "range.csv"), "--n", "x", "--m", "2"))
+        runs.append(("--obs", str(good), "--n", "99999999999999999999", "--m", "2"))
         # the first case runs the entry point, the rest run in process
         for k, argv in enumerate(runs):
             res = cli("match", *argv) if k == 0 else _cli_in_process(["match", *argv])

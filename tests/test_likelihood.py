@@ -374,7 +374,7 @@ class TestEdgeList:
         ([2], [-1], "edge endpoints must lie in 0..2"),
         ([2, 2], [1, 1], "duplicate pair in observations"),
         ([2, 1, 2], [0, 0, 0], "duplicate pair in observations"),
-        (np.array([2.0, 1.5]), np.array([0, 0]), "edge arrays must hold integers"),
+        (np.array([2.0, 1.5]), np.array([0, 0]), "edge endpoints must be integers"),
     ], ids=["misaligned", "2-d", "i<j", "i=j", "i>=n", "j<0", "repeat-sorted",
             "repeat-unsorted", "float"])
     def test_same_rejection_for_both_families(self, family, i, j, message):
@@ -432,9 +432,21 @@ class TestEdgeList:
         with pytest.raises(ValueError, match=message):
             _edge_list(n, m, [], [])
 
+    @pytest.mark.parametrize("call", [
+        lambda: _edge_list(2**62, 2, [], []),
+        lambda: PairwiseObservations(n=3, m=2**62, i=[], j=[], y=[]),
+        lambda: MatchObservations.from_csv("i,j,row,col,value\n", n=10**20, m=3),
+        lambda: sample_match_observations(10**20, 3, 0.5, seed=0),
+    ], ids=["edge-list", "pairwise", "match-csv", "match-sampler"])
+    def test_n_m_beyond_int64_rejected(self, call):
+        # no index dtype holds the key y n + i; the sampler raised OverflowError
+        # and the loader computed i n + j in int64 before
+        with pytest.raises(ValueError, match="is beyond int64$"):
+            call()
+
     @pytest.mark.parametrize("y", [[0, 2], [-1, 0]])
     def test_residues_out_of_range_rejected(self, y):
-        with pytest.raises(ValueError, match="residues out of range"):
+        with pytest.raises(ValueError, match="^residues must lie in 0..1$"):
             PairwiseObservations(n=3, m=2, i=[2, 1], j=[0, 0], y=y)
 
     def test_float_residues_rejected(self):

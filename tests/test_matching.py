@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ppmalign.matching as matching
 from conftest import (
+    coo_match_operator,
     dense_match_expansion,
     examples,
     full_budget_match_solve,
@@ -361,7 +362,7 @@ class TestDenseBlockMatrix:
         np.testing.assert_allclose(op.matmat(x), dense @ x, atol=1e-10)
         np.testing.assert_allclose(dense, dense.T, atol=0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), m=st.integers(1, 6),
            p_obs=st.sampled_from((0.0, 0.3, 1.0)), density=st.sampled_from((0.2, 1.0)),
            r=st.integers(1, 4))
@@ -382,6 +383,27 @@ class TestDenseBlockMatrix:
         np.testing.assert_allclose(ax, dense @ x, rtol=0, atol=1e-12 * max(1, n * m))
         np.testing.assert_allclose(np.sum(w * ax), np.sum(x * op.matmat(w)),
                                    rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), m=st.integers(1, 6),
+           p_obs=st.sampled_from((0.0, 0.3, 1.0)), density=st.sampled_from((0.2, 1.0)))
+    def test_csr_bit_identical_to_coo_build(self, seed, n, m, p_obs, density):
+        # the mirror is the transpose of the stored pairs' matrix; one COO
+        # conversion of every entry in both orientations is the reference.
+        # The pairs arrive shuffled, and zero entries are left out of both
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = rng.random(lo.size) < p_obs
+        e = int(keep.sum())
+        blocks = rng.standard_normal((e, m, m)) * (rng.random((e, m, m)) < density)
+        order = rng.permutation(e)
+        obs = MatchObservations(n=n, m=m, ii=hi[keep][order], jj=lo[keep][order],
+                                blocks=blocks)
+        got, want = DenseBlockMatrix(obs)._a, coo_match_operator(obs)
+        assert got.format == "csr" and got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+            assert getattr(got, part).dtype == getattr(want, part).dtype, part
 
     def test_shape_validation(self):
         obs, _ = sample_match_observations(5, 3, 0.0, seed=12)

@@ -172,6 +172,9 @@ class TestBlockwise:
             project_blockwise(z, 0.0)
         with pytest.raises(ValueError):
             project_blockwise(z, -1.0)
+        # it was rounded as if it were +inf
+        with pytest.raises(ValueError, match="positive or inf"):
+            project_blockwise(z, -np.inf)
 
     def test_projection_of_zero_is_uniform(self):
         got = project_rows(np.zeros((3, 4)))

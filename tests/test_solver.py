@@ -10,6 +10,7 @@ from ppmalign.blockmat import build
 from ppmalign.exceptions import MissingSigmaError
 from ppmalign.harness import parse_mu_spec
 from ppmalign.likelihood import PairwiseObservations, random_corruption, sample_observations
+from ppmalign.simplex import project_blockwise
 from ppmalign.solver import (
     ContractionReport,
     ScalingPolicy,
@@ -214,6 +215,24 @@ class TestSolve:
             solve(L, np.zeros((5, 2)), ScalingPolicy.infinite(), T=1)
         with pytest.raises(ValueError):
             solve(L, lift(x, 2), ScalingPolicy.infinite(), T=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda L, z, x: solve(L, z, ScalingPolicy.infinite(), T=3, truth=x),
+        lambda L, z, x: solve(L, z, ScalingPolicy(5.0), T=3, truth=x),
+        lambda L, z, x: project_blockwise(z, math.inf),
+        lambda L, z, x: L.matvec(z),
+        lambda L, z, x: labels_of(z),
+    ], ids=["solve-inf", "solve-finite", "project-inf", "matvec", "labels_of"])
+    def test_non_finite_blocks_rejected(self, call, bad):
+        # every reader of float blocks checks them alike; the rounding paths
+        # used to take a NaN as a label, and solve at mu = inf then reported
+        # an estimate where at a finite mu it raised
+        L, x = make_instance(8, 2, 0.8, seed=12)
+        z = lift(x, 2)
+        z[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            call(L, z, x)
 
     def test_trace_csv_format(self):
         L, x = make_instance(30, 2, 1.0, seed=10)
